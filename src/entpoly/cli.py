@@ -13,13 +13,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
 
 from .gallery import EXAMPLE1_PAPER_VALUES, named_state
-from .measures import MeasureKind
+from .measures import SPECTRUM_MEASURES, MeasureKind
 from .polygon import (
     VIOLATION_TOL,
     alpha_sweep,
@@ -32,19 +31,6 @@ from .tensor import DimensionProfile, InputError, Ket, Partition
 
 STATE_NORM_REJECT = 1e-6
 STATE_NORM_WARN = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation knobs shared by the commands."""
-
-    seed: int = 0
-    fmt: str = "json"
-    tolerance: float = VIOLATION_TOL
-    alpha_min: float = 0.01
-    alpha_max: float = 1.0
-    steps: int = 100
-    allow_unproven: bool = False
 
 
 def _format_number(x, digits: int) -> str:
@@ -102,6 +88,8 @@ def read_state_file(path: str) -> Ket:
             f"state file {path!r} has {len(pairs)} amplitudes, dims need {profile.total_dim}"
         )
     amp = np.array([complex(float(re), float(im)) for re, im in pairs])
+    if not np.isfinite(amp).all():
+        raise InputError(f"state file {path!r} has non-finite amplitudes")
     nrm = float(np.linalg.norm(amp))
     if abs(nrm - 1.0) > STATE_NORM_REJECT:
         raise InputError(f"state file {path!r} norm {nrm} is too far from 1")
@@ -144,27 +132,16 @@ def _parse_dims(text: str) -> DimensionProfile:
     return DimensionProfile(dims)
 
 
-def _alpha_grid(cfg: RunConfig) -> list[float]:
-    if cfg.steps < 1:
-        raise InputError(f"need at least 1 grid step, got {cfg.steps}")
-    lo, hi = cfg.alpha_min, cfg.alpha_max
+def _alpha_grid(lo: float, hi: float, steps: int, allow_unproven: bool) -> list[float]:
+    if steps < 1:
+        raise InputError(f"need at least 1 grid step, got {steps}")
     if lo <= 0.0 or hi < lo:
         raise InputError(f"alpha grid [{lo}, {hi}] must be positive and ordered")
-    if hi > 1.0 and not cfg.allow_unproven:
+    if hi > 1.0 and not allow_unproven:
         raise InputError("alpha grid beyond 1 needs --allow-unproven-alpha")
-    if cfg.steps == 1:
+    if steps == 1:
         return [lo]
-    return [float(a) for a in np.linspace(lo, hi, cfg.steps)]
-
-
-def _check_cli_alpha(alpha: float, allow_unproven: bool, upper_open: bool = False) -> float:
-    if alpha <= 0.0:
-        raise InputError(f"alpha must be positive, got {alpha}")
-    if upper_open and alpha >= 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    if alpha > 1.0 and not allow_unproven:
-        raise InputError(f"alpha = {alpha} beyond 1 needs --allow-unproven-alpha")
-    return float(alpha)
+    return [float(a) for a in np.linspace(lo, hi, steps)]
 
 
 def _warn_unproven(payload: dict, alphas) -> None:
@@ -181,11 +158,7 @@ def _fail_input(exc: Exception) -> None:
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
-_measure_option = click.option(
-    "--measure",
-    type=click.Choice(["gem", "negativity", "concurrence", "qconcurrence"]),
-    required=True,
-)
+_measure_option = click.option("--measure", type=click.Choice(list(SPECTRUM_MEASURES)), required=True)
 _q_option = click.option("--q", type=float, default=None, help="q for qconcurrence (default 2)")
 _unproven_option = click.option("--allow-unproven-alpha", "allow_unproven", is_flag=True)
 _expect_option = click.option(
@@ -241,7 +214,6 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
         psi = load_state(state)
         part = _resolve_partition(partition_text, psi)
         kind = MeasureKind.parse(measure, q)
-        alpha = _check_cli_alpha(alpha, allow_unproven)
         report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
     except InputError as exc:
         _fail_input(exc)
@@ -272,7 +244,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
 @click.option("--partition", "partition_text", default=None)
 @click.option(
     "--measure",
-    type=click.Choice(["gem", "negativity", "concurrence", "qconcurrence"]),
+    type=click.Choice(list(SPECTRUM_MEASURES)),
     default="negativity",
     show_default=True,
 )
@@ -300,9 +272,7 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
             kind = MeasureKind.parse(measure, q)
             values = one_to_rest_values(psi, part, kind)
             source = state
-        cfg = RunConfig(fmt=fmt, alpha_min=alpha_min, alpha_max=alpha_max, steps=steps,
-                        allow_unproven=allow_unproven)
-        grid = _alpha_grid(cfg)
+        grid = _alpha_grid(alpha_min, alpha_max, steps, allow_unproven)
         block0 = None if block is None else block - 1
         points = alpha_sweep(values, grid, block=block0, allow_unproven=allow_unproven)
     except InputError as exc:
@@ -339,7 +309,6 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
         profile = _parse_dims(dims)
         part = None if partition_text is None else Partition.parse(partition_text)
         kind = MeasureKind.parse(measure, q)
-        alpha = _check_cli_alpha(alpha, allow_unproven)
         summary = audit_random(
             profile, part, kind, alpha, trials, seed,
             sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
@@ -376,7 +345,6 @@ def cmd_indicator(state, alpha, fmt):
     """Geometric-measure indicator delta and the per-party tau values."""
     try:
         psi = load_state(state)
-        alpha = _check_cli_alpha(alpha, allow_unproven=False, upper_open=True)
         delta, taus = indicator_delta(psi, alpha)
     except InputError as exc:
         _fail_input(exc)

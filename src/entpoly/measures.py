@@ -1,9 +1,9 @@
 """Bipartite entanglement measures for pure states, plus two-qubit Wootters.
 
 Every measure here is evaluated across a cut: a 1-based block of subsystems
-against its complement.  Pure-state values come straight from the squared
-Schmidt coefficients of that cut; the trace-norm negativity also accepts
-arbitrary density operators.
+against its complement.  `SPECTRUM_MEASURES` maps each pure-state measure to a
+function of the cut's Schmidt spectrum (or a (T, d) stack of spectra); the
+trace-norm negativity never uses one and also accepts density operators.
 """
 
 from __future__ import annotations
@@ -32,7 +32,25 @@ WOOTTERS_NEG_TOL = 1e-8
 PURITY_DEFICIT_FLOOR = 1e-12
 WOOTTERS_ZERO_FLOOR = 1e-13
 
-_MEASURE_NAMES = ("gem", "negativity", "concurrence", "qconcurrence")
+
+def _purity_deficit(lam: np.ndarray, q: float) -> np.ndarray:
+    deficit = 1.0 - np.sum(lam**q, axis=-1)
+    return np.where(deficit > PURITY_DEFICIT_FLOOR, deficit, 0.0)
+
+
+def _schmidt_negativity(lam: np.ndarray) -> np.ndarray:
+    # float_power squares with libm pow like float ** 2; x * x rounds otherwise
+    # for ~1 input in 1500, and recorded 17-digit outputs depend on pow's rounding.
+    return np.maximum(0.0, (np.float_power(np.sum(np.sqrt(lam), axis=-1), 2) - 1.0) / 2.0)
+
+
+# name -> value from spectra along the last axis; `q` goes to qconcurrence only.
+SPECTRUM_MEASURES = {
+    "gem": lambda lam: np.maximum(0.0, 1.0 - lam[..., 0]),  # 1 - lambda_max
+    "negativity": _schmidt_negativity,  # ((sum_i sqrt(lambda_i))^2 - 1) / 2
+    "concurrence": lambda lam: np.sqrt(2.0 * _purity_deficit(lam, 2)),  # sqrt(2 (1 - Tr rho^2))
+    "qconcurrence": _purity_deficit,  # 1 - Tr rho^q
+}
 
 
 @dataclass(frozen=True)
@@ -43,13 +61,13 @@ class MeasureKind:
     q: float | None = None
 
     def __post_init__(self):
-        if self.name not in _MEASURE_NAMES:
-            raise InputError(f"unknown measure {self.name!r}, expected one of {_MEASURE_NAMES}")
+        if self.name not in SPECTRUM_MEASURES:
+            raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
         if self.name == "qconcurrence":
             if self.q is None:
                 raise InputError("qconcurrence needs a q parameter")
             object.__setattr__(self, "q", float(self.q))
-            if self.q < 1.0:
+            if not self.q >= 1.0:  # also rejects NaN
                 raise InputError(f"qconcurrence needs q >= 1, got {self.q}")
         elif self.q is not None:
             raise InputError(f"measure {self.name!r} takes no q parameter")
@@ -67,6 +85,12 @@ class MeasureKind:
             return f"qconcurrence(q={self.q:g})"
         return self.name
 
+    def of_spectra(self, lam: np.ndarray) -> np.ndarray:
+        """Values from descending spectra along the last axis; one value per spectrum."""
+        if self.q is None:
+            return SPECTRUM_MEASURES[self.name](lam)
+        return SPECTRUM_MEASURES[self.name](lam, self.q)
+
 
 GEM = MeasureKind("gem")
 NEGATIVITY = MeasureKind("negativity")
@@ -79,8 +103,7 @@ def q_concurrence_kind(q: float) -> MeasureKind:
 
 def gem_pure(psi: Ket, block) -> float:
     """Geometric measure 1 - lambda_max across the cut; 0 iff product."""
-    lam = reduced_spectrum(psi, block)
-    return max(0.0, 1.0 - float(lam[0]))
+    return float(GEM.of_spectra(reduced_spectrum(psi, block)))
 
 
 def negativity(state: Ket | DensityOp, block) -> float:
@@ -99,29 +122,17 @@ def negativity(state: Ket | DensityOp, block) -> float:
 
 def negativity_pure_schmidt(psi: Ket, block) -> float:
     """((sum_i sqrt(lambda_i))^2 - 1) / 2 from the Schmidt spectrum of the cut."""
-    lam = reduced_spectrum(psi, block)
-    return max(0.0, (float(np.sum(np.sqrt(lam))) ** 2 - 1.0) / 2.0)
+    return float(NEGATIVITY.of_spectra(reduced_spectrum(psi, block)))
 
 
 def concurrence_pure(psi: Ket, block) -> float:
     """sqrt(2 (1 - Tr rho_S^2)) across the cut."""
-    lam = reduced_spectrum(psi, block)
-    deficit = 1.0 - float(np.sum(lam**2))
-    if deficit <= PURITY_DEFICIT_FLOOR:
-        return 0.0
-    return float(np.sqrt(2.0 * deficit))
+    return float(CONCURRENCE.of_spectra(reduced_spectrum(psi, block)))
 
 
 def q_concurrence(psi: Ket, block, q: float) -> float:
     """1 - Tr rho_S^q for real q >= 1."""
-    q = float(q)
-    if q < 1.0:
-        raise InputError(f"q-concurrence needs q >= 1, got {q}")
-    lam = reduced_spectrum(psi, block)
-    deficit = 1.0 - float(np.sum(lam**q))
-    if deficit <= PURITY_DEFICIT_FLOOR:
-        return 0.0
-    return deficit
+    return float(q_concurrence_kind(q).of_spectra(reduced_spectrum(psi, block)))
 
 
 _SYSY = np.array(
@@ -158,15 +169,5 @@ def wootters_concurrence(rho: DensityOp) -> float:
 
 
 def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
-    """Evaluate a MeasureKind on a pure state across the given cut.
-
-    Negativity uses the Schmidt-spectrum path here; the trace-norm path is
-    available separately and agrees on pure inputs.
-    """
-    if kind.name == "gem":
-        return gem_pure(psi, block)
-    if kind.name == "negativity":
-        return negativity_pure_schmidt(psi, block)
-    if kind.name == "concurrence":
-        return concurrence_pure(psi, block)
-    return q_concurrence(psi, block, kind.q)
+    """Evaluate a MeasureKind on a pure state across the given cut (Schmidt path)."""
+    return float(kind.of_spectra(reduced_spectrum(psi, block)))

@@ -85,6 +85,8 @@ class Ket:
                 f"expected {self.profile.total_dim} amplitudes for dims "
                 f"{self.profile.dims}, got {amp.size}"
             )
+        if not np.isfinite(amp).all():
+            raise InputError("ket amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InputError(f"ket must be normalized, |norm - 1| = {abs(nrm - 1.0):.3e}")
@@ -104,6 +106,8 @@ class DensityOp:
         D = self.profile.total_dim
         if mat.shape != (D, D):
             raise InputError(f"expected a {D}x{D} matrix for dims {self.profile.dims}")
+        if not np.isfinite(mat).all():
+            raise InputError("density matrix entries must be finite")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > HERMITIAN_TOL:
             raise InputError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
@@ -202,23 +206,29 @@ def partial_transpose(rho: DensityOp, block: Iterable[int]) -> np.ndarray:
     return _transposed_matrix(rho.matrix, rho.profile.dims, [i - 1 for i in idx])
 
 
-def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
-    """Squared Schmidt coefficients across the cut block | complement, descending.
+def reduced_spectra(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
+    """Squared Schmidt coefficients of a (T, D) stack of kets across one cut, shape (T, d_block).
 
-    Computed from the singular values of the reshaped amplitude tensor and
-    zero-padded to the block dimension, so it equals the eigenvalue list of
-    the block's reduced density operator.
+    One stacked SVD of the (T, d_block, d_rest) amplitude tensor; each row is
+    descending and zero-padded to the block dimension, so it equals the
+    eigenvalue list of that ket's reduced density operator on the block.
+    Row t is bit-identical to the T = 1 call on ket t alone.
     """
-    idx = psi.profile.block_indices(block, allow_full=False)
+    idx = profile.block_indices(block, allow_full=False)
     block0 = [i - 1 for i in idx]
-    rest0 = [i for i in range(psi.profile.n) if i not in block0]
-    T = psi.amplitudes.reshape(psi.profile.dims)
-    d_block = math.prod(psi.profile.dims[i] for i in block0)
-    M = T.transpose(block0 + rest0).reshape(d_block, -1)
+    rest0 = [i for i in range(profile.n) if i not in block0]
+    d_block = math.prod(profile.dims[i] for i in block0)
+    stack = np.reshape(amplitudes, (-1, *profile.dims))
+    M = stack.transpose([0] + [i + 1 for i in block0 + rest0]).reshape(len(stack), d_block, -1)
     s = np.linalg.svd(M, compute_uv=False)
-    lam = np.zeros(d_block)
-    lam[: s.size] = s**2
+    lam = np.zeros((len(stack), d_block))
+    lam[:, : s.shape[-1]] = s**2
     return lam
+
+
+def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
+    """Squared Schmidt coefficients across the cut block | complement: the T = 1 `reduced_spectra`."""
+    return reduced_spectra(psi.profile, psi.amplitudes, block)[0]
 
 
 def schatten_norm(M: np.ndarray, p: float) -> float:

@@ -87,6 +87,9 @@ class TestEpiCheckCommand:
                   "--measure", "gem", "--alpha", "1.5", "--allow-unproven-alpha")
         assert res.exit_code == 0
         assert json.loads(res.stdout)["unproven_regime"] is True
+        for bad in ("0", "nan"):
+            res = run(runner, "epi-check", "--state", "gallery:ghz(3)", "--measure", "gem", "--alpha", bad)
+            assert res.exit_code == 2, bad
 
 
 class TestSweepCommand:
@@ -167,6 +170,9 @@ class TestAuditCommand:
     def test_bad_dims_exit_2(self, runner):
         res = run(runner, "audit", "--dims", "2,x", "--measure", "gem", "--trials", "5")
         assert res.exit_code == 2
+        for bad in ("0", "nan"):
+            res = run(runner, "audit", "--dims", "2,2,2", "--measure", "gem", "--trials", "5", "--alpha", bad)
+            assert res.exit_code == 2, bad
 
 
 class TestIndicatorCommand:
@@ -226,6 +232,15 @@ class TestStateFiles:
         path.write_text(json.dumps({"dims": [2], "amplitudes": [[2.0, 0.0], [0.0, 0.0]]}))
         with pytest.raises(ep.InputError):
             read_state_file(str(path))
+
+    def test_nan_amplitudes_exit_2(self, runner, tmp_path):
+        # a NaN amplitude makes the norm NaN, which slipped past both norm checks
+        path = tmp_path / "state.json"
+        amplitudes = [[float("nan"), 0.0], [0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}))
+        res = run(runner, "epi-check", "--state", str(path), "--measure", "gem")
+        assert res.exit_code == 2
+        assert "finite" in res.stderr
 
     def test_missing_file_exits_2(self, runner):
         res = run(runner, "measure", "--state", "nope.json", "--measure", "gem")

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
+from entpoly.measures import PURITY_DEFICIT_FLOOR
+from entpoly.tensor import reduced_spectra
 from helpers import apply_local_unitaries, haar_unitary, random_unit_vector
 
 
@@ -23,6 +25,18 @@ def product_ket(dims, seed):
     for d in dims:
         amp = np.kron(amp, random_unit_vector(d, rng))
     return ep.Ket(ep.DimensionProfile(dims), amp)
+
+
+def scalar_measure(lam, kind):
+    """Reference: each measure's formula as scalar code on one 1-D spectrum."""
+    if kind.name == "gem":
+        return max(0.0, 1.0 - float(lam[0]))
+    if kind.name == "negativity":
+        return max(0.0, (float(np.sum(np.sqrt(lam))) ** 2 - 1.0) / 2.0)
+    deficit = 1.0 - float(np.sum(lam ** (2 if kind.q is None else kind.q)))
+    if deficit <= PURITY_DEFICIT_FLOOR:
+        return 0.0
+    return float(np.sqrt(2.0 * deficit)) if kind.name == "concurrence" else deficit
 
 
 ALL_CUT_MEASURES = [
@@ -44,9 +58,21 @@ class TestMeasureKind:
         with pytest.raises(ep.InputError):
             ep.MeasureKind("qconcurrence", 0.5)
         with pytest.raises(ep.InputError):
+            ep.MeasureKind("qconcurrence", math.nan)
+        with pytest.raises(ep.InputError):
             ep.MeasureKind("gem", 2.0)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
+
+    def test_one_list_of_names(self):
+        from entpoly.measures import SPECTRUM_MEASURES
+        from entpoly.cli import main
+
+        for name in SPECTRUM_MEASURES:
+            assert ep.MeasureKind.parse(name).name == name
+        for command in ("measure", "epi-check", "sweep", "audit"):
+            option = next(p for p in main.commands[command].params if p.name == "measure")
+            assert list(option.type.choices) == list(SPECTRUM_MEASURES)
 
 
 class TestGem:
@@ -219,6 +245,22 @@ class TestCrossCutProperties:
         if flagged:
             print(f"note: {len(flagged)} Haar draws were nearly product: trials {flagged}")
         assert len(flagged) <= 2
+
+    def test_stacked_spectra_match_measure_value_and_scalar_formula_bitwise(self):
+        kinds = ALL_CUT_MEASURES + [ep.q_concurrence_kind(1.7)]
+        for dims in [(2, 2, 2), (3, 3, 3), (2, 3, 4)]:
+            prof = ep.DimensionProfile(dims)
+            kets = [ep.haar_random_ket(prof, np.random.SeedSequence([17, t])) for t in range(25)]
+            kets.append(product_ket(dims, 3))  # exercises the purity-deficit floor
+            stack = np.stack([psi.amplitudes for psi in kets])
+            for block in [(1,), (2,), (1, 3)]:
+                lam = reduced_spectra(prof, stack, block)
+                for kind in kinds:
+                    stacked = kind.of_spectra(lam)
+                    single = np.array([ep.measure_value(psi, block, kind) for psi in kets])
+                    scalar = np.array([scalar_measure(row, kind) for row in lam])
+                    assert np.array_equal(stacked, single), (kind.label, dims, block)
+                    assert np.array_equal(stacked, scalar), (kind.label, dims, block)
 
     def test_negativity_paths_agree(self):
         for seed, dims in [(3, (2, 3)), (4, (3, 3)), (5, (2, 2, 2))]:

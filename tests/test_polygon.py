@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
+from entpoly import polygon
 from helpers import random_unit_vector
 
 
@@ -66,6 +67,24 @@ class TestResiduals:
         # the unproven regime is reachable only on request
         res = ep.epi_residuals([1.0, 1.0], 1.5, allow_unproven=True)
         assert_allclose(res, [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN slipped past the sign check and came out as a clean [1, 0, 0]
+        with pytest.raises(ep.InputError, match="finite"):
+            ep.epi_residuals([bad, 0.5, 0.5], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ep.InputError):
+            ep.epi_residuals([0.5, 0.5], bad, allow_unproven=True)
+
+    def test_rows_reduce_along_last_axis(self):
+        vals = np.random.default_rng(8).random((5, 3))
+        vals[1, 2] = 0.0
+        stacked = ep.epi_residuals(vals, 0.75)
+        for row, res in zip(vals, stacked):
+            assert np.array_equal(res, ep.epi_residuals(row, 0.75))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -219,6 +238,40 @@ class TestAudit:
             for t in reversed(range(10))
         ]
         assert forward == backward[::-1]
+
+    @pytest.mark.parametrize(
+        "sampler, dims, kind, alpha",
+        [
+            ("haar", (2, 2, 2), ep.GEM, 0.5),
+            ("haar", (2, 3, 4), ep.q_concurrence_kind(1.7), 0.75),
+            ("purification", (3, 3), ep.NEGATIVITY, 1.0),
+            ("gw", (3, 3, 3, 3), ep.NEGATIVITY, 0.25),
+        ],
+    )
+    @pytest.mark.parametrize("chunk_trials", [1, 3, 4])
+    def test_chunked_audit_equals_replays(self, monkeypatch, sampler, dims, kind, alpha, chunk_trials):
+        prof = ep.DimensionProfile(dims)
+        state_dim = ep.sample_state(prof, sampler, 0, 0).profile.total_dim
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", chunk_trials * state_dim)
+        trials = 10  # at least three chunks, the last one partial unless chunk_trials == 1
+        summary = ep.audit_random(prof, None, kind, alpha, trials, seed=23, sampler=sampler)
+        mins = [
+            ep.audit_trial_report(prof, None, kind, alpha, 23, t, sampler=sampler).min_residual
+            for t in range(trials)
+        ]
+        assert summary.violations == sum(m < -ep.VIOLATION_TOL for m in mins)
+        assert summary.worst_residual == min(mins)
+        assert summary.worst_trial == mins.index(min(mins))
+
+    def test_worst_trial_is_first_of_ties(self, monkeypatch):
+        # identical trials tie on the minimum residual; the first one is reported
+        psi = ep.named_state("w(3)")
+        monkeypatch.setattr(polygon, "sample_state", lambda profile, sampler, seed, trial: psi)
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 2 * psi.profile.total_dim)
+        summary = ep.audit_random(psi.profile, None, ep.GEM, 0.5, 5, seed=1)
+        assert summary.worst_trial == 0
+        report = ep.epi_report(psi, ep.Partition.singletons(3), ep.GEM, 0.5)
+        assert summary.worst_residual == report.min_residual
 
     def test_trials_validation(self):
         with pytest.raises(ep.InputError):

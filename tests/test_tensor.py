@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
+from entpoly.tensor import reduced_spectra
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
 P222 = ep.DimensionProfile((2, 2, 2))
@@ -86,6 +87,17 @@ class TestKetAndDensity:
         mat = np.diag([1.5, -0.5])
         with pytest.raises(ep.InputError):
             ep.DensityOp(ep.DimensionProfile((2,)), mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ket_rejects_non_finite(self, bad):
+        # |nan - 1| > tol is False, so a norm check alone lets NaN through
+        with pytest.raises(ep.InputError, match="finite"):
+            ep.Ket(ep.DimensionProfile((2,)), [bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite(self, bad):
+        with pytest.raises(ep.InputError, match="finite"):
+            ep.DensityOp(ep.DimensionProfile((2,)), np.diag([bad, 0.5]))
 
 
 class TestPartialTrace:
@@ -212,6 +224,18 @@ class TestReducedSpectrum:
                     b = np.pad(b, (0, width - b.size))
                     assert_allclose(a, b, atol=1e-10)
                     assert abs(a.sum() - 1.0) < ep.SPECTRUM_SUM_TOL
+
+    def test_stacked_rows_are_single_ket_spectra(self):
+        for dims in [(2, 2, 2), (2, 3, 4), (3, 3)]:
+            prof = ep.DimensionProfile(dims)
+            kets = [haar(dims, seed) for seed in range(7)]
+            stack = np.stack([psi.amplitudes for psi in kets])
+            for r in range(1, prof.n):
+                for block in itertools.combinations(range(1, prof.n + 1), r):
+                    lam = reduced_spectra(prof, stack, block)
+                    assert lam.shape == (len(kets), prof.block_dim(block))
+                    for row, psi in zip(lam, kets):
+                        assert np.array_equal(row, ep.reduced_spectrum(psi, block))
 
     def test_full_or_empty_block_rejected(self):
         psi = ep.named_state("bell")
