@@ -5,6 +5,8 @@ one-to-rest cuts, polygon-inequality residuals for arbitrary partitions and
 exponents, closed-form state families, and deterministic randomized audits.
 """
 
+import types as _types
+
 from .gallery import (
     BISEP_TOL,
     EXAMPLE1_PAPER_VALUES,
@@ -81,72 +83,8 @@ from .tensor import (
     schatten_norm,
 )
 
-__all__ = [
-    "AcinParams",
-    "AuditSummary",
-    "BISEP_TOL",
-    "CONCURRENCE",
-    "DensityOp",
-    "DimensionProfile",
-    "EXAMPLE1_PAPER_VALUES",
-    "EpiReport",
-    "GEM",
-    "GWSpec",
-    "HERMITIAN_TOL",
-    "InputError",
-    "Ket",
-    "MEASURE_FLOOR",
-    "MeasureKind",
-    "NEGATIVITY",
-    "NORM_TOL",
-    "PSD_TOL",
-    "Partition",
-    "ProductPurificationSpec",
-    "SPECTRUM_SUM_TOL",
-    "TRACE_TOL",
-    "VIOLATION_TOL",
-    "acin_cut_determinants",
-    "acin_discriminants",
-    "acin_is_biseparable",
-    "acin_params",
-    "acin_schmidt_spectra",
-    "acin_state",
-    "alpha_sweep",
-    "audit_random",
-    "audit_trial_report",
-    "basis_ket",
-    "concurrence_pure",
-    "density_of",
-    "epi_report",
-    "epi_residuals",
-    "example3_gw_spec",
-    "flat_index",
-    "gem_pure",
-    "ghz_state",
-    "gw_coarse_grain",
-    "gw_negativity_closed",
-    "gw_spec",
-    "gw_state",
-    "haar_random_ket",
-    "indicator_delta",
-    "iter_partitions",
-    "measure_value",
-    "multi_index",
-    "named_state",
-    "negativity",
-    "negativity_gap_closed",
-    "negativity_pure_schmidt",
-    "one_to_rest_values",
-    "partial_trace",
-    "partial_transpose",
-    "power_inequality_holds",
-    "product_purification",
-    "q_concurrence",
-    "q_concurrence_kind",
-    "random_density",
-    "reduced_spectrum",
-    "sample_state",
-    "schatten_norm",
-    "w_state",
-    "wootters_concurrence",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -4,7 +4,9 @@ State sources are either ``gallery:<name>`` or a path to a JSON state file
 ``{"dims": [...], "amplitudes": [[re, im], ...]}`` with flat row-major
 amplitudes (subsystem 1 most significant).  JSON output carries 17
 significant digits, CSV 12.  Exit codes: 0 contract satisfied, 1 inequality
-verdict contrary to the proven direction, 2 input error.
+verdict contrary to the proven direction, 2 input error, 3 internal error.
+Commands return their verdict; the `entpoly` group alone turns an outcome
+into an exit code, and the library does all input validation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 from .gallery import EXAMPLE1_PAPER_VALUES, named_state
 from .measures import SPECTRUM_MEASURES, MeasureKind
 from .polygon import (
+    SAMPLERS,
     VIOLATION_TOL,
+    _check_alpha,
     alpha_sweep,
     audit_random,
     epi_report,
@@ -81,13 +85,18 @@ def read_state_file(path: str) -> Ket:
         raise InputError(f"state file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dims" not in data or "amplitudes" not in data:
         raise InputError(f"state file {path!r} must carry 'dims' and 'amplitudes'")
-    profile = DimensionProfile(tuple(int(d) for d in data["dims"]))
-    pairs = data["amplitudes"]
-    if len(pairs) != profile.total_dim:
+    try:
+        dims = tuple(int(d) for d in data["dims"])
+        amp = np.array([complex(float(re), float(im)) for re, im in data["amplitudes"]])
+    except (TypeError, ValueError) as exc:
         raise InputError(
-            f"state file {path!r} has {len(pairs)} amplitudes, dims need {profile.total_dim}"
+            f"state file {path!r} needs integer dims and [re, im] amplitude pairs: {exc}"
+        ) from exc
+    profile = DimensionProfile(dims)
+    if len(amp) != profile.total_dim:
+        raise InputError(
+            f"state file {path!r} has {len(amp)} amplitudes, dims need {profile.total_dim}"
         )
-    amp = np.array([complex(float(re), float(im)) for re, im in pairs])
     if not np.isfinite(amp).all():
         raise InputError(f"state file {path!r} has non-finite amplitudes")
     nrm = float(np.linalg.norm(amp))
@@ -119,9 +128,7 @@ def _partition_str(partition: Partition) -> str:
 
 
 def _resolve_partition(text: str | None, psi: Ket) -> Partition:
-    part = Partition.singletons(psi.profile.n) if text is None else Partition.parse(text)
-    part.validate_for(psi.profile)
-    return part
+    return Partition.singletons(psi.profile.n) if text is None else Partition.parse(text)
 
 
 def _parse_dims(text: str) -> DimensionProfile:
@@ -132,15 +139,11 @@ def _parse_dims(text: str) -> DimensionProfile:
     return DimensionProfile(dims)
 
 
-def _alpha_grid(lo: float, hi: float, steps: int, allow_unproven: bool) -> list[float]:
+def _alpha_grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise InputError(f"need at least 1 grid step, got {steps}")
-    if lo <= 0.0 or hi < lo:
-        raise InputError(f"alpha grid [{lo}, {hi}] must be positive and ordered")
-    if hi > 1.0 and not allow_unproven:
-        raise InputError("alpha grid beyond 1 needs --allow-unproven-alpha")
-    if steps == 1:
-        return [lo]
+    if hi < lo:
+        raise InputError(f"alpha grid [{lo}, {hi}] must be ordered")
     return [float(a) for a in np.linspace(lo, hi, steps)]
 
 
@@ -148,11 +151,6 @@ def _warn_unproven(payload: dict, alphas) -> None:
     if any(a > 1.0 for a in alphas):
         payload["unproven_regime"] = True
         click.echo("warning: alpha > 1 is an unproven regime for these inequalities", err=True)
-
-
-def _fail_input(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
 
 
 _format_option = click.option(
@@ -167,7 +165,30 @@ _expect_option = click.option(
 )
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """The one place an outcome becomes an exit code.
+
+    A command's returned verdict is the code (None is 0); `InputError` exits 2
+    and any other exception exits 3, each with one line on stderr.  click's
+    own exits, usage errors and aborts (and a closed stdout pipe) keep click's
+    handling, so `--help` stays 0 and a bad option stays 2.
+    """
+
+    def invoke(self, ctx):
+        try:
+            code = super().invoke(ctx) or 0
+        except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
+            raise
+        except InputError as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = 2
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            code = 3
+        sys.exit(code)
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Entanglement polygon inequalities on multi-qudit pure states."""
 
@@ -180,13 +201,10 @@ def main():
 @_format_option
 def cmd_measure(state, partition_text, measure, q, fmt):
     """One-to-rest measure values for each partition block."""
-    try:
-        psi = load_state(state)
-        part = _resolve_partition(partition_text, psi)
-        kind = MeasureKind.parse(measure, q)
-        values = one_to_rest_values(psi, part, kind)
-    except InputError as exc:
-        _fail_input(exc)
+    psi = load_state(state)
+    part = _resolve_partition(partition_text, psi)
+    kind = MeasureKind.parse(measure, q)
+    values = one_to_rest_values(psi, part, kind)
     payload = {
         "command": "measure",
         "state": state,
@@ -210,13 +228,10 @@ def cmd_measure(state, partition_text, measure, q, fmt):
 @_format_option
 def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_violation, allow_unproven, fmt):
     """Check the polygon inequality; exit 0 if it holds, 1 if violated."""
-    try:
-        psi = load_state(state)
-        part = _resolve_partition(partition_text, psi)
-        kind = MeasureKind.parse(measure, q)
-        report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
-    except InputError as exc:
-        _fail_input(exc)
+    psi = load_state(state)
+    part = _resolve_partition(partition_text, psi)
+    kind = MeasureKind.parse(measure, q)
+    report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
     payload = {
         "command": "epi-check",
         "state": state,
@@ -235,7 +250,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
     ]
     _emit(payload, ["block", "value", "residual"], rows, fmt)
     verdict_ok = (not report.holds) if expect_violation else report.holds
-    sys.exit(0 if verdict_ok else 1)
+    return 0 if verdict_ok else 1
 
 
 @main.command("sweep")
@@ -257,26 +272,27 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
 @_format_option
 def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, alpha_max, steps, allow_unproven, fmt):
     """Residual of the designated block across an exponent grid (figure data)."""
-    try:
-        if (state is None) == (values_text is None):
-            raise InputError("pass exactly one of --state or --values")
-        if values_text is not None:
+    if (state is None) == (values_text is None):
+        raise InputError("pass exactly one of --state or --values")
+    if values_text is not None:
+        try:
             values = np.array([float(tok) for tok in values_text.split(",")])
-            source = "values"
-        elif state == "gallery:example1-paper-values":
-            values = np.array(EXAMPLE1_PAPER_VALUES)
-            source = state
-        else:
-            psi = load_state(state)
-            part = _resolve_partition(partition_text, psi)
-            kind = MeasureKind.parse(measure, q)
-            values = one_to_rest_values(psi, part, kind)
-            source = state
-        grid = _alpha_grid(alpha_min, alpha_max, steps, allow_unproven)
-        block0 = None if block is None else block - 1
-        points = alpha_sweep(values, grid, block=block0, allow_unproven=allow_unproven)
-    except InputError as exc:
-        _fail_input(exc)
+        except ValueError as exc:
+            raise InputError(f"cannot parse --values {values_text!r}: {exc}") from exc
+        source = "values"
+    elif state == "gallery:example1-paper-values":
+        values = np.array(EXAMPLE1_PAPER_VALUES)
+        source = state
+    else:
+        psi = load_state(state)
+        part = _resolve_partition(partition_text, psi)
+        kind = MeasureKind.parse(measure, q)
+        values = one_to_rest_values(psi, part, kind)
+        source = state
+    _check_alpha(alpha_max, allow_unproven)  # also when a one-step grid leaves it unsampled
+    grid = _alpha_grid(alpha_min, alpha_max, steps)
+    block0 = None if block is None else block - 1
+    points = alpha_sweep(values, grid, block=block0, allow_unproven=allow_unproven)
     designated = block if block is not None else int(np.argmax(values)) + 1
     payload = {
         "command": "sweep",
@@ -294,7 +310,7 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
 @click.option("--partition", "partition_text", default=None)
 @_measure_option
 @_q_option
-@click.option("--sampler", type=click.Choice(["haar", "purification", "gw"]), default="haar", show_default=True)
+@click.option("--sampler", type=click.Choice(SAMPLERS), default="haar", show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
@@ -305,16 +321,13 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
 def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, tolerance,
               expect_violation, allow_unproven, fmt):
     """Randomized polygon audit; violations where the inequality is proven exit 1."""
-    try:
-        profile = _parse_dims(dims)
-        part = None if partition_text is None else Partition.parse(partition_text)
-        kind = MeasureKind.parse(measure, q)
-        summary = audit_random(
-            profile, part, kind, alpha, trials, seed,
-            sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
-        )
-    except InputError as exc:
-        _fail_input(exc)
+    profile = _parse_dims(dims)
+    part = None if partition_text is None else Partition.parse(partition_text)
+    kind = MeasureKind.parse(measure, q)
+    summary = audit_random(
+        profile, part, kind, alpha, trials, seed,
+        sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
+    )
     payload = {
         "command": "audit",
         "dims": list(profile.dims),
@@ -332,9 +345,8 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
     _warn_unproven(payload, [alpha])
     rows = [[summary.trials, summary.violations, summary.worst_residual, summary.worst_trial]]
     _emit(payload, ["trials", "violations", "worst_residual", "worst_trial"], rows, fmt)
-    if expect_violation:
-        sys.exit(0 if summary.violations == summary.trials else 1)
-    sys.exit(0 if summary.violations == 0 else 1)
+    expected = summary.trials if expect_violation else 0
+    return 0 if summary.violations == expected else 1
 
 
 @main.command("indicator")
@@ -343,11 +355,8 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
 @_format_option
 def cmd_indicator(state, alpha, fmt):
     """Geometric-measure indicator delta and the per-party tau values."""
-    try:
-        psi = load_state(state)
-        delta, taus = indicator_delta(psi, alpha)
-    except InputError as exc:
-        _fail_input(exc)
+    psi = load_state(state)
+    delta, taus = indicator_delta(psi, alpha)
     payload = {
         "command": "indicator",
         "state": state,

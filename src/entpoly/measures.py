@@ -108,11 +108,10 @@ def gem_pure(psi: Ket, block) -> float:
 
 def negativity(state: Ket | DensityOp, block) -> float:
     """(trace norm of the partial transpose - 1) / 2, for kets or densities."""
+    profile = state.profile
     if isinstance(state, Ket):
-        profile = state.profile
         mat = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
-        profile = state.profile
         mat = state.matrix
     idx = profile.block_indices(block)
     pt = _transposed_matrix(mat, profile.dims, [i - 1 for i in idx])

@@ -54,6 +54,13 @@ def _check_alpha(alpha: float, allow_unproven: bool) -> float:
     return alpha
 
 
+def _check_tolerance(tolerance: float) -> float:
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < np.inf:  # also rejects NaN, which would count no violation
+        raise InputError(f"tolerance must be finite and non-negative, got {tolerance}")
+    return tolerance
+
+
 @dataclass(frozen=True)
 class EpiReport:
     """One polygon-inequality evaluation: values, residuals, verdict."""
@@ -101,6 +108,7 @@ def epi_report(
     allow_unproven: bool = False,
 ) -> EpiReport:
     """Evaluate the polygon inequality for one state, partition and exponent."""
+    tolerance = _check_tolerance(tolerance)
     values = one_to_rest_values(psi, partition, measure)
     residuals = epi_residuals(values, alpha, allow_unproven=allow_unproven)
     min_residual = float(residuals.min())
@@ -214,9 +222,9 @@ def _purification_dims(profile: DimensionProfile) -> tuple[int, int]:
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
     """Draw the trial state for an audit; deterministic in (seed, trial)."""
-    if sampler == "haar":
-        return haar_random_ket(profile, np.random.SeedSequence([int(seed), int(trial)]))
     rng = trial_rng(seed, trial)
+    if sampler == "haar":
+        return haar_random_ket(profile, rng)
     if sampler == "purification":
         da, db = _purification_dims(profile)
         spec = gallery.ProductPurificationSpec(rng.dirichlet(np.ones(da)), rng.dirichlet(np.ones(db)))
@@ -289,6 +297,7 @@ def audit_random(
     if trials < 1:
         raise InputError(f"need at least 1 trial, got {trials}")
     alpha = _check_alpha(alpha, allow_unproven)
+    tolerance = _check_tolerance(tolerance)
     partition = audit_partition(profile, sampler, partition)
     state_profile = _state_profile(profile, sampler)
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)

@@ -21,6 +21,12 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10  # density eigenvalues in [-PSD_TOL, 0) are roundoff, below is a bug
 SPECTRUM_SUM_TOL = 1e-10
 
+# Largest total dimension a profile may declare: 2^24 amplitudes, a 256 MiB
+# ket.  Every state allocates at least one D-vector, so a larger profile is
+# rejected here, before any allocation, not by a MemoryError deep inside numpy;
+# no gallery state, test or benchmark input exceeds D = 1024.
+MAX_TOTAL_DIM = 1 << 24
+
 
 class InputError(ValueError):
     """A caller violated an operation's contract (bad index set, bad parameter...)."""
@@ -39,6 +45,9 @@ class DimensionProfile:
             raise InputError("a system needs at least one subsystem")
         if any(d < 2 for d in dims):
             raise InputError(f"local dimensions must be >= 2, got {dims}")
+        total = math.prod(dims)
+        if total > MAX_TOTAL_DIM:
+            raise InputError(f"total dimension {total} of {dims} exceeds MAX_TOTAL_DIM = {MAX_TOTAL_DIM}")
 
     @property
     def n(self) -> int:

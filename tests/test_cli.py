@@ -43,6 +43,11 @@ class TestMeasureCommand:
                   "--partition", "1|2|3", "--measure", "gem")
         assert res.exit_code == 2
 
+    def test_oversized_state_exits_2(self, runner):
+        res = run(runner, "measure", "--state", "gallery:ghz(40)", "--measure", "gem")
+        assert res.exit_code == 2
+        assert "MAX_TOTAL_DIM" in res.stderr
+
     def test_csv_format(self, runner):
         res = run(runner, "measure", "--state", "gallery:example2",
                   "--partition", "1|2,3", "--measure", "negativity", "--format", "csv")
@@ -91,6 +96,13 @@ class TestEpiCheckCommand:
             res = run(runner, "epi-check", "--state", "gallery:ghz(3)", "--measure", "gem", "--alpha", bad)
             assert res.exit_code == 2, bad
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, runner, bad):
+        res = run(runner, "epi-check", "--state", "gallery:example2", "--measure", "negativity",
+                  "--tolerance", bad)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
 
 class TestSweepCommand:
     def test_example1_paper_values_at_one(self, runner):
@@ -125,6 +137,17 @@ class TestSweepCommand:
     def test_state_and_values_both_rejected(self, runner):
         res = run(runner, "sweep", "--state", "gallery:bell", "--values", "1,2")
         assert res.exit_code == 2
+        res = run(runner, "sweep", "--values", "0.5,x")
+        assert res.exit_code == 2
+        assert "--values" in res.stderr
+
+    def test_alpha_max_needs_flag_on_one_step_grid(self, runner):
+        base = ["sweep", "--values", "0.5,0.5", "--alpha-min", "0.5", "--steps", "1"]
+        assert run(runner, *base, "--alpha-max", "2").exit_code == 2
+        assert run(runner, *base, "--alpha-max", "2", "--allow-unproven-alpha").exit_code == 0
+        for bad in ("nan", "inf"):
+            res = run(runner, *base, "--alpha-max", bad, "--allow-unproven-alpha")
+            assert res.exit_code == 2, bad
 
     def test_csv(self, runner):
         res = run(runner, "sweep", "--values", "0.5,0.5",
@@ -173,6 +196,18 @@ class TestAuditCommand:
         for bad in ("0", "nan"):
             res = run(runner, "audit", "--dims", "2,2,2", "--measure", "gem", "--trials", "5", "--alpha", bad)
             assert res.exit_code == 2, bad
+        # 40 qubits: rejected by the profile before a 16 TiB allocation
+        res = run(runner, "audit", "--dims", ",".join(["2"] * 40), "--measure", "gem", "--trials", "5")
+        assert res.exit_code == 2
+        assert "MAX_TOTAL_DIM" in res.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_bad_tolerance_exits_2(self, runner, bad):
+        # every trial violates (worst residual about -1.96), yet the parent counted 0 violations
+        res = run(runner, "audit", "--dims", "3,3", "--sampler", "purification", "--measure", "negativity",
+                  "--trials", "50", "--tolerance", bad)
+        assert res.exit_code == 2
+        assert res.stdout == ""
 
 
 class TestIndicatorCommand:
@@ -242,9 +277,54 @@ class TestStateFiles:
         assert res.exit_code == 2
         assert "finite" in res.stderr
 
-    def test_missing_file_exits_2(self, runner):
+    def test_missing_file_exits_2(self, runner, tmp_path):
         res = run(runner, "measure", "--state", "nope.json", "--measure", "gem")
         assert res.exit_code == 2
+        # malformed content exits 2 like a missing file, naming the file
+        malformed = [
+            {"dims": [2, "x"], "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+            {"dims": [2], "amplitudes": [[1], [0, 0]]},
+            {"dims": [2], "amplitudes": 5},
+            {"dims": [2], "amplitudes": [["a", 0], [0, 0]]},
+        ]
+        for i, data in enumerate(malformed):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(data))
+            res = run(runner, "measure", "--state", str(path), "--measure", "gem")
+            assert res.exit_code == 2, data
+            assert str(path) in res.stderr
+
+
+class TestExitCodes:
+    """The group boundary: verdict 0/1, input error 2, internal error 3, click's own codes."""
+
+    def test_internal_error_exits_3(self, runner, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("entpoly.cli.one_to_rest_values", boom)
+        res = run(runner, "measure", "--state", "gallery:bell", "--measure", "gem")
+        assert res.exit_code == 3
+        assert res.stderr == "internal error: RuntimeError: boom\n"
+        assert res.stdout == ""
+
+    def test_verdict_1_is_unchanged(self, runner):
+        res = run(runner, "epi-check", "--state", "gallery:example2", "--measure", "negativity")
+        assert res.exit_code == 1
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["holds"] is False
+
+    @pytest.mark.parametrize("args", [["--help"], ["audit", "--help"], ["epi-check", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        res = run(runner, *args)
+        assert res.exit_code == 0
+        assert "Usage:" in res.stdout
+
+    @pytest.mark.parametrize("args", [["audit", "--bogus"], ["nope"], ["audit", "--sampler", "ppt"]])
+    def test_usage_error_exits_2(self, runner, args):
+        res = run(runner, *args)
+        assert res.exit_code == 2
+        assert "Usage:" in res.stderr
 
 
 class TestJsonSerialization:

@@ -281,6 +281,22 @@ class TestAudit:
         with pytest.raises(ep.InputError):
             ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, 5, seed=1, sampler="ppt")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tolerance_rejected(self, bad):
+        # every purification trial violates; a NaN or infinite tolerance counted none
+        prof = ep.DimensionProfile((3, 3))
+        with pytest.raises(ep.InputError, match="tolerance"):
+            ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler="purification", tolerance=bad)
+        assert ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler="purification",
+                               tolerance=0.0).violations == 5
+
+    def test_haar_trial_draws_from_trial_rng(self):
+        prof = ep.DimensionProfile((2, 3, 4))
+        for trial in range(5):
+            psi = ep.sample_state(prof, "haar", 17, trial)
+            ref = ep.haar_random_ket(prof, np.random.SeedSequence([17, trial]))
+            assert np.array_equal(psi.amplitudes, ref.amplitudes)
+
 
 class TestEpiReport:
     def test_report_fields(self):
@@ -295,3 +311,10 @@ class TestEpiReport:
         psi = ep.named_state("example3")
         report = ep.epi_report(psi, ep.Partition.parse("1|2,3|4"), ep.NEGATIVITY, 1.0)
         assert report.holds is True
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, bad):
+        # example2 violates by 2; an infinite tolerance reported that it holds
+        psi = ep.named_state("example2")
+        with pytest.raises(ep.InputError, match="tolerance"):
+            ep.epi_report(psi, ep.Partition.singletons(3), ep.NEGATIVITY, 1.0, tolerance=bad)

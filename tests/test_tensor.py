@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
-from entpoly.tensor import reduced_spectra
+from entpoly.tensor import MAX_TOTAL_DIM, reduced_spectra
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
 P222 = ep.DimensionProfile((2, 2, 2))
@@ -31,6 +31,14 @@ class TestProfile:
     def test_bad_dims(self, dims):
         with pytest.raises(ep.InputError):
             ep.DimensionProfile(dims)
+
+    def test_oversized_profile_rejected_before_allocation(self):
+        # 40 qubits would need a 16 TiB ket; the profile itself allocates nothing
+        with pytest.raises(ep.InputError, match="MAX_TOTAL_DIM"):
+            ep.DimensionProfile((2,) * 40)
+        assert ep.DimensionProfile((2,) * 24).total_dim == MAX_TOTAL_DIM
+        with pytest.raises(ep.InputError):
+            ep.DimensionProfile((2,) * 25)
 
 
 class TestFlatIndex:
