@@ -85,14 +85,13 @@ def read_state_file(path: str) -> Ket:
         raise InputError(f"state file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dims" not in data or "amplitudes" not in data:
         raise InputError(f"state file {path!r} must carry 'dims' and 'amplitudes'")
-    try:
-        dims = tuple(int(d) for d in data["dims"])
+    try:  # InputError is a ValueError, so the profile's own rejections name the file too
+        profile = DimensionProfile(data["dims"])
         amp = np.array([complex(float(re), float(im)) for re, im in data["amplitudes"]])
     except (TypeError, ValueError) as exc:
         raise InputError(
             f"state file {path!r} needs integer dims and [re, im] amplitude pairs: {exc}"
         ) from exc
-    profile = DimensionProfile(dims)
     if len(amp) != profile.total_dim:
         raise InputError(
             f"state file {path!r} has {len(amp)} amplitudes, dims need {profile.total_dim}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, flat_index
+from .tensor import DimensionProfile, InputError, Ket, Partition, sparse_ket
 
 SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
@@ -68,15 +68,13 @@ def acin_params(ls, theta: float = 0.0) -> AcinParams:
 
 def acin_state(params: AcinParams) -> Ket:
     """The three-qubit ket with the phase carried by the |100> term."""
-    profile = DimensionProfile((2, 2, 2))
-    amp = np.zeros(8, dtype=complex)
-    amp[flat_index((0, 0, 0), profile)] = params.l0
-    amp[flat_index((1, 0, 0), profile)] = params.l1 * np.exp(1j * params.theta)
-    amp[flat_index((1, 0, 1), profile)] = params.l2
-    amp[flat_index((1, 1, 0), profile)] = params.l3
-    amp[flat_index((1, 1, 1), profile)] = params.l4
-    nrm = float(np.linalg.norm(amp))
-    return Ket(profile, amp / nrm)
+    return sparse_ket(DimensionProfile((2, 2, 2)), [
+        ((0, 0, 0), params.l0),
+        ((1, 0, 0), params.l1 * np.exp(1j * params.theta)),
+        ((1, 0, 1), params.l2),
+        ((1, 1, 0), params.l3),
+        ((1, 1, 1), params.l4),
+    ])
 
 
 def acin_cut_determinants(params: AcinParams) -> tuple[float, float, float]:
@@ -189,18 +187,16 @@ def gw_spec(coeffs) -> GWSpec:
     return GWSpec(c / nrm)
 
 
+def _excitation(n: int, j: int, level: int) -> tuple[int, ...]:
+    """The n-party label with `level` at 0-based party j and 0 elsewhere."""
+    return (0,) * j + (level,) + (0,) * (n - j - 1)
+
+
 def gw_state(spec: GWSpec) -> Ket:
     """The GW ket on n parties of local dimension d+1."""
-    profile = DimensionProfile((spec.d + 1,) * spec.n)
-    amp = np.zeros(profile.total_dim, dtype=complex)
-    label = [0] * spec.n
-    for j in range(spec.n):
-        for i in range(spec.d):
-            label[j] = i + 1
-            amp[flat_index(label, profile)] = spec.coeffs[j, i]
-        label[j] = 0
-    nrm = float(np.linalg.norm(amp))
-    return Ket(profile, amp / nrm)
+    n, d = spec.n, spec.d
+    terms = ((_excitation(n, j, i + 1), spec.coeffs[j, i]) for j in range(n) for i in range(d))
+    return sparse_ket(DimensionProfile((d + 1,) * n), terms)
 
 
 def gw_coarse_grain(spec: GWSpec, partition: Partition) -> GWSpec:
@@ -259,13 +255,8 @@ def product_purification(spec: ProductPurificationSpec) -> Ket:
     row-major label i*d_b + j, so Tr_C gives diag(a) (x) diag(b) exactly.
     """
     da, db = spec.a.size, spec.b.size
-    profile = DimensionProfile((da, db, da * db))
-    amp = np.zeros(profile.total_dim, dtype=complex)
-    for i in range(da):
-        for j in range(db):
-            amp[flat_index((i, j, i * db + j), profile)] = math.sqrt(spec.a[i] * spec.b[j])
-    nrm = float(np.linalg.norm(amp))
-    return Ket(profile, amp / nrm)
+    terms = (((i, j, i * db + j), math.sqrt(spec.a[i] * spec.b[j])) for i in range(da) for j in range(db))
+    return sparse_ket(DimensionProfile((da, db, da * db)), terms)
 
 
 def negativity_gap_closed(spec: ProductPurificationSpec) -> float:
@@ -287,54 +278,30 @@ def ghz_state(n: int) -> Ket:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise InputError("GHZ needs at least 2 qubits")
-    profile = DimensionProfile((2,) * n)
-    amp = np.zeros(profile.total_dim, dtype=complex)
-    amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return Ket(profile, amp)
+    return sparse_ket(DimensionProfile((2,) * n), [((0,) * n, 1.0), ((1,) * n, 1.0)])
 
 
 def w_state(n: int) -> Ket:
     """Equal superposition of the n single-excitation qubit labels."""
     if n < 2:
         raise InputError("W needs at least 2 qubits")
-    profile = DimensionProfile((2,) * n)
-    amp = np.zeros(profile.total_dim, dtype=complex)
-    for j in range(n):
-        label = [0] * n
-        label[j] = 1
-        amp[flat_index(label, profile)] = 1.0 / math.sqrt(n)
-    return Ket(profile, amp)
+    return sparse_ket(DimensionProfile((2,) * n), ((_excitation(n, j, 1), 1.0) for j in range(n)))
 
 
 def _example1() -> Ket:
-    profile = DimensionProfile((3, 3, 3))
-    amp = np.zeros(27, dtype=complex)
-    amp[flat_index((1, 0, 2), profile)] = 3 / 5
-    amp[flat_index((2, 0, 0), profile)] = 2 * math.sqrt(2) / 5
-    amp[flat_index((0, 1, 0), profile)] = 2 / 5
-    amp[flat_index((0, 2, 0), profile)] = math.sqrt(2) / 5
-    amp[flat_index((0, 0, 1), profile)] = math.sqrt(2) / 5
-    return Ket(profile, amp / np.linalg.norm(amp))
+    return sparse_ket(DimensionProfile((3, 3, 3)), [
+        ((1, 0, 2), 3 / 5),
+        ((2, 0, 0), 2 * math.sqrt(2) / 5),
+        ((0, 1, 0), 2 / 5),
+        ((0, 2, 0), math.sqrt(2) / 5),
+        ((0, 0, 1), math.sqrt(2) / 5),
+    ])
 
 
 def _example2() -> Ket:
     # Purifier first: subsystem A has dimension 9 and label 3*b + c.
-    profile = DimensionProfile((9, 3, 3))
-    amp = np.zeros(81, dtype=complex)
-    for b in range(3):
-        for c in range(3):
-            amp[flat_index((3 * b + c, b, c), profile)] = 1 / 3
-    return Ket(profile, amp / np.linalg.norm(amp))
-
-
-def _example3() -> Ket:
-    profile = DimensionProfile((3, 3, 3, 3))
-    amp = np.zeros(81, dtype=complex)
-    amp[flat_index((0, 0, 0, 1), profile)] = 0.3
-    amp[flat_index((0, 0, 2, 0), profile)] = 0.4
-    amp[flat_index((0, 1, 0, 0), profile)] = 0.5
-    amp[flat_index((1, 0, 0, 0), profile)] = math.sqrt(0.5)
-    return Ket(profile, amp / np.linalg.norm(amp))
+    terms = (((3 * b + c, b, c), 1 / 3) for b in range(3) for c in range(3))
+    return sparse_ket(DimensionProfile((9, 3, 3)), terms)
 
 
 def example3_gw_spec() -> GWSpec:
@@ -355,7 +322,7 @@ def named_state(name: str) -> Ket:
     if key == "example2":
         return _example2()
     if key == "example3":
-        return _example3()
+        return gw_state(example3_gw_spec())
     if key == "bell":
         return ghz_state(2)
     m = _GHZ_RE.match(key)

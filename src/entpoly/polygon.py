@@ -205,7 +205,10 @@ class AuditSummary:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator, independent of execution order."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+    seed, trial = int(seed), int(trial)
+    if seed < 0 or trial < 0:
+        raise InputError(f"seed and trial must be non-negative, got seed {seed}, trial {trial}")
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
 def _purification_dims(profile: DimensionProfile) -> tuple[int, int]:

@@ -32,6 +32,17 @@ class InputError(ValueError):
     """A caller violated an operation's contract (bad index set, bad parameter...)."""
 
 
+def _whole_dim(d) -> int:
+    """A local dimension as an int; 2.9 is rejected rather than truncated to 2."""
+    try:
+        k = int(d)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != d:
+        raise InputError(f"local dimensions must be whole numbers, got {d!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class DimensionProfile:
     """Ordered local dimensions (d1, ..., dn) of an n-partite system."""
@@ -39,7 +50,7 @@ class DimensionProfile:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_whole_dim(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise InputError("a system needs at least one subsystem")
@@ -160,11 +171,17 @@ def multi_index(flat: int, profile: DimensionProfile) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def sparse_ket(profile: DimensionProfile, terms: Iterable[tuple[Sequence[int], complex]]) -> Ket:
+    """Normalized ket from (label, amplitude) terms; unnamed labels carry zero amplitude."""
+    amp = np.zeros(profile.total_dim, dtype=complex)
+    for label, value in terms:
+        amp[flat_index(label, profile)] = value
+    return Ket(profile, amp / float(np.linalg.norm(amp)))
+
+
 def basis_ket(profile: DimensionProfile, multi: Sequence[int]) -> Ket:
     """Computational basis state |multi>."""
-    amp = np.zeros(profile.total_dim, dtype=complex)
-    amp[flat_index(multi, profile)] = 1.0
-    return Ket(profile, amp)
+    return sparse_ket(profile, [(multi, 1.0)])
 
 
 def density_of(psi: Ket) -> DensityOp:

@@ -200,6 +200,10 @@ class TestAuditCommand:
         res = run(runner, "audit", "--dims", ",".join(["2"] * 40), "--measure", "gem", "--trials", "5")
         assert res.exit_code == 2
         assert "MAX_TOTAL_DIM" in res.stderr
+        # a negative seed is bad input, not an internal error (exit 3)
+        res = run(runner, "audit", "--dims", "2,2", "--measure", "gem", "--trials", "3", "--seed", "-1")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error:") and "non-negative" in res.stderr
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_bad_tolerance_exits_2(self, runner, bad):
@@ -286,6 +290,8 @@ class TestStateFiles:
             {"dims": [2], "amplitudes": [[1], [0, 0]]},
             {"dims": [2], "amplitudes": 5},
             {"dims": [2], "amplitudes": [["a", 0], [0, 0]]},
+            # was truncated to (2, 2), so measure exited 0 with values for the wrong profile
+            {"dims": [2.9, 2], "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         ]
         for i, data in enumerate(malformed):
             path = tmp_path / f"bad{i}.json"

@@ -131,7 +131,7 @@ class TestGWStates:
 
     def test_example3_coefficients(self):
         psi = ep.gw_state(ep.example3_gw_spec())
-        assert_allclose(psi.amplitudes, ep.named_state("example3").amplitudes, atol=1e-15)
+        assert np.array_equal(psi.amplitudes, ep.named_state("example3").amplitudes)
 
     def test_norm(self):
         rng = np.random.default_rng(4)
@@ -300,11 +300,18 @@ class TestNamedStates:
     def test_bell(self):
         psi = ep.named_state("bell")
         assert psi.profile.dims == (2, 2)
-        assert_allclose(psi.amplitudes[[0, 3]], [1 / math.sqrt(2)] * 2)
+        assert np.flatnonzero(psi.amplitudes).tolist() == [0, 3]
+        assert (psi.amplitudes[[0, 3]] == 1 / math.sqrt(2)).all()
 
     def test_ghz_w_sizes(self):
         assert ep.named_state("ghz(4)").profile.dims == (2, 2, 2, 2)
         assert ep.named_state("w(5)").profile.dims == (2,) * 5
+        for n in range(2, 11):
+            ghz, w = ep.named_state(f"ghz({n})").amplitudes, ep.named_state(f"w({n})").amplitudes
+            assert np.flatnonzero(ghz).tolist() == [0, 2**n - 1]
+            assert (ghz[[0, -1]] == 1 / math.sqrt(2)).all()
+            assert np.flatnonzero(w).tolist() == [2**j for j in range(n)]
+            assert (w[np.flatnonzero(w)] == 1 / math.sqrt(n)).all()
 
     def test_unknown_name(self):
         with pytest.raises(ep.InputError):

@@ -290,6 +290,16 @@ class TestAudit:
         assert ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler="purification",
                                tolerance=0.0).violations == 5
 
+    @pytest.mark.parametrize("sampler", polygon.SAMPLERS)
+    def test_negative_seed_or_trial_rejected(self, sampler):
+        # numpy's SeedSequence raised a plain ValueError, which the CLI reports as an internal error
+        prof = ep.DimensionProfile((2, 2))
+        with pytest.raises(ep.InputError, match="non-negative"):
+            ep.audit_random(prof, None, ep.GEM, 1.0, 3, seed=-1, sampler=sampler)
+        for seed, trial in ((-1, 0), (0, -1)):
+            with pytest.raises(ep.InputError, match="non-negative"):
+                ep.sample_state(prof, sampler, seed, trial)
+
     def test_haar_trial_draws_from_trial_rng(self):
         prof = ep.DimensionProfile((2, 3, 4))
         for trial in range(5):

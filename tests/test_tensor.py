@@ -27,7 +27,8 @@ class TestProfile:
         assert prof.block_dim((1, 3)) == 8
         assert prof.complement((2,)) == (1, 3)
 
-    @pytest.mark.parametrize("dims", [(), (1,), (2, 1)])
+    # (2.9, 2) and (2, 2.5) were truncated to whole dimensions instead of rejected
+    @pytest.mark.parametrize("dims", [(), (1,), (2, 1), (2.9, 2), (2, 2.5), (2, "3")])
     def test_bad_dims(self, dims):
         with pytest.raises(ep.InputError):
             ep.DimensionProfile(dims)
