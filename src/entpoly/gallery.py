@@ -46,7 +46,7 @@ class AcinParams:
         if any(l < 0 for l in ls):
             raise InputError(f"Acin coefficients must be non-negative, got {ls}")
         ssum = sum(l * l for l in ls)
-        if abs(ssum - 1.0) > SPEC_NORM_TOL:
+        if not abs(ssum - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
             raise InputError(f"Acin coefficients must satisfy sum l_i^2 = 1, got {ssum}")
         if not 0.0 <= self.theta < math.pi:
             raise InputError(f"theta must lie in [0, pi), got {self.theta}")
@@ -60,8 +60,8 @@ def acin_params(ls, theta: float = 0.0) -> AcinParams:
     """Build AcinParams from an unnormalized non-negative 5-vector."""
     ls = np.asarray(ls, dtype=float)
     nrm = float(np.linalg.norm(ls))
-    if nrm == 0.0:
-        raise InputError("Acin coefficients cannot all vanish")
+    if not 0.0 < nrm < math.inf:
+        raise InputError("Acin coefficients must be finite and not all zero")
     ls = ls / nrm
     return AcinParams(*ls.tolist(), theta=float(theta))
 
@@ -154,7 +154,7 @@ class GWSpec:
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InputError("GW coefficients must form an n x d matrix")
         total = float(np.sum(np.abs(c) ** 2))
-        if abs(total - 1.0) > SPEC_NORM_TOL:
+        if not abs(total - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
             raise InputError(f"GW coefficients must have unit square sum, got {total}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -169,21 +169,18 @@ class GWSpec:
 
     def block_weights(self, partition: Partition) -> np.ndarray:
         """Summed |a|^2 per partition block."""
-        partition_n = partition.n
-        if partition_n != self.n:
-            raise InputError(f"partition covers {partition_n} parties, spec has {self.n}")
-        w = np.array(
+        partition.validate_for(self.n)
+        return np.array(
             [sum(float(np.sum(np.abs(self.coeffs[j - 1]) ** 2)) for j in b) for b in partition.blocks]
         )
-        return w
 
 
 def gw_spec(coeffs) -> GWSpec:
     """Build a GWSpec from an unnormalized coefficient matrix."""
     c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    if nrm == 0.0:
-        raise InputError("GW coefficients cannot all vanish")
+    if not 0.0 < nrm < math.inf:
+        raise InputError("GW coefficients must be finite and not all zero")
     return GWSpec(c / nrm)
 
 
@@ -207,8 +204,7 @@ def gw_coarse_grain(spec: GWSpec, partition: Partition) -> GWSpec:
     block are orthonormal and relabel as new levels).  Vectors are zero-padded
     to a common length, which only adds unused levels.
     """
-    if partition.n != spec.n:
-        raise InputError(f"partition covers {partition.n} parties, spec has {spec.n}")
+    partition.validate_for(spec.n)
     widest = max(len(b) for b in partition.blocks) * spec.d
     merged = np.zeros((partition.k, widest), dtype=complex)
     for row, block in enumerate(partition.blocks):
@@ -242,7 +238,7 @@ class ProductPurificationSpec:
             vec = np.array(getattr(self, field_name), dtype=float).reshape(-1)
             if vec.size < 1 or np.any(vec < 0):
                 raise InputError(f"spectrum {field_name} must be a non-negative vector")
-            if abs(float(vec.sum()) - 1.0) > SPEC_NORM_TOL:
+            if not abs(float(vec.sum()) - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
                 raise InputError(f"spectrum {field_name} must sum to 1, got {vec.sum()}")
             vec.flags.writeable = False
             object.__setattr__(self, field_name, vec)

@@ -108,13 +108,11 @@ def gem_pure(psi: Ket, block) -> float:
 
 def negativity(state: Ket | DensityOp, block) -> float:
     """(trace norm of the partial transpose - 1) / 2, for kets or densities."""
-    profile = state.profile
     if isinstance(state, Ket):
         mat = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         mat = state.matrix
-    idx = profile.block_indices(block)
-    pt = _transposed_matrix(mat, profile.dims, [i - 1 for i in idx])
+    pt = _transposed_matrix(mat, state.profile, block)
     tn = float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(pt)))))
     return max(0.0, (tn - 1.0) / 2.0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gallery
 from .measures import MeasureKind, measure_value  # noqa: F401  (bound here for perfbench/tracing.py)
-from .tensor import DimensionProfile, InputError, Ket, Partition, haar_random_ket, reduced_spectra
+from .tensor import DimensionProfile, InputError, Ket, Partition, _whole, haar_random_ket, reduced_spectra
 
 # A residual below -VIOLATION_TOL counts as a violation; measure values
 # compound several decompositions, so this sits well above the 1e-12
@@ -76,7 +76,7 @@ class EpiReport:
 
 def _block_values(profile: DimensionProfile, amplitudes, partition: Partition, measure: MeasureKind):
     """(T, k) one-to-rest values of a (T, D) stack of kets: one stacked SVD per block."""
-    partition.validate_for(profile)
+    partition.validate_for(profile.n)
     if partition.k < 2:
         raise InputError("one-to-rest values need at least 2 blocks")
     spectra = (reduced_spectra(profile, amplitudes, block) for block in partition.blocks)
@@ -92,6 +92,8 @@ def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.n
     """r_j = sum_{l != j} v_l^alpha - v_j^alpha for each block j (the last axis)."""
     alpha = _check_alpha(alpha, allow_unproven)
     values = np.asarray(values, dtype=float)
+    if not values.size:
+        raise InputError("measure values must not be empty")
     if not (np.isfinite(values).all() and (values >= 0).all()):
         raise InputError("measure values must be finite and non-negative")
     powered = _powered(values, alpha)
@@ -166,21 +168,15 @@ def alpha_sweep(
     `block` is the 0-based position in `values`; by default the largest value,
     which is the binding side of the inequality.
     """
-    values = np.asarray(values, dtype=float)
     grid = [float(a) for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must not be empty")
-    if np.any(values < 0):
-        raise InputError("measure values must be non-negative")
-    if block is None:
-        block = int(np.argmax(values))
+    rows = [epi_residuals(values, alpha, allow_unproven=allow_unproven) for alpha in grid]
+    values = np.asarray(values, dtype=float)
+    block = int(np.argmax(values)) if block is None else _whole(block, "designated block")
     if not 0 <= block < len(values):
         raise InputError(f"designated block {block} out of range")
-    points = []
-    for alpha in grid:
-        residuals = epi_residuals(values, alpha, allow_unproven=allow_unproven)
-        points.append((alpha, float(residuals[block])))
-    return points
+    return [(alpha, float(r[block])) for alpha, r in zip(grid, rows)]
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ class AuditSummary:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator, independent of execution order."""
-    seed, trial = int(seed), int(trial)
+    seed, trial = _whole(seed, "seed"), _whole(trial, "trial")
     if seed < 0 or trial < 0:
         raise InputError(f"seed and trial must be non-negative, got seed {seed}, trial {trial}")
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -255,8 +251,7 @@ def audit_partition(profile: DimensionProfile, sampler: str, partition: Partitio
     state_n = _state_profile(profile, sampler).n
     if partition is None:
         return Partition.singletons(state_n)
-    if partition.n != state_n:
-        raise InputError(f"partition covers {partition.n} parties, sampled states have {state_n}")
+    partition.validate_for(state_n)
     return partition
 
 
@@ -296,7 +291,7 @@ def audit_random(
 
     The worst trial is the first one with the smallest minimum residual.
     """
-    trials = int(trials)
+    trials, seed = _whole(trials, "trial count"), _whole(seed, "seed")
     if trials < 1:
         raise InputError(f"need at least 1 trial, got {trials}")
     alpha = _check_alpha(alpha, allow_unproven)
@@ -321,7 +316,7 @@ def audit_random(
         sampler=sampler,
         alpha=alpha,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         violations=int(np.count_nonzero(min_residuals < -tolerance)),
         worst_residual=float(min_residuals[worst_trial]),
         worst_trial=worst_trial,

@@ -32,14 +32,14 @@ class InputError(ValueError):
     """A caller violated an operation's contract (bad index set, bad parameter...)."""
 
 
-def _whole_dim(d) -> int:
-    """A local dimension as an int; 2.9 is rejected rather than truncated to 2."""
+def _whole(value, what: str) -> int:
+    """An index, count or seed as an int; 2.9 is rejected rather than truncated to 2."""
     try:
-        k = int(d)
+        k = int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != d:
-        raise InputError(f"local dimensions must be whole numbers, got {d!r}")
+    if k is None or k != value:
+        raise InputError(f"{what} must be a whole number, got {value!r}")
     return k
 
 
@@ -50,7 +50,7 @@ class DimensionProfile:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_whole_dim(d) for d in self.dims)
+        dims = tuple(_whole(d, "local dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise InputError("a system needs at least one subsystem")
@@ -74,7 +74,7 @@ class DimensionProfile:
 
     def block_indices(self, block: Iterable[int], *, allow_full: bool = True) -> tuple[int, ...]:
         """Validate a 1-based index set and return it sorted (still 1-based)."""
-        raw = tuple(int(i) for i in block)
+        raw = tuple(_whole(i, "subsystem index") for i in block)
         idx = tuple(sorted(set(raw)))
         if len(idx) != len(raw):
             raise InputError(f"duplicate subsystem indices in {raw}")
@@ -152,7 +152,7 @@ def flat_index(multi: Sequence[int], profile: DimensionProfile) -> int:
         raise InputError(f"label has {len(multi)} entries, profile has {profile.n}")
     x = 0
     for k, d in zip(multi, profile.dims):
-        k = int(k)
+        k = _whole(k, "label entry")
         if not 0 <= k < d:
             raise InputError(f"label entry {k} out of range for local dimension {d}")
         x = x * d + k
@@ -161,7 +161,7 @@ def flat_index(multi: Sequence[int], profile: DimensionProfile) -> int:
 
 def multi_index(flat: int, profile: DimensionProfile) -> tuple[int, ...]:
     """Inverse of flat_index."""
-    flat = int(flat)
+    flat = _whole(flat, "flat index")
     if not 0 <= flat < profile.total_dim:
         raise InputError(f"flat index {flat} out of range for dims {profile.dims}")
     out = []
@@ -191,9 +191,10 @@ def density_of(psi: Ket) -> DensityOp:
     return DensityOp(psi.profile, mat)
 
 
-def _traced_matrix(mat: np.ndarray, dims: tuple[int, ...], keep0: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix, 0-based keep indices."""
-    n = len(dims)
+def _traced_matrix(mat: np.ndarray, profile: DimensionProfile, keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of a raw matrix onto the (1-based) subsystems in `keep`."""
+    dims, n = profile.dims, profile.n
+    keep0 = [i - 1 for i in profile.block_indices(keep)]
     T = mat.reshape(*dims, *dims)
     row = list(range(n))
     col = [n + i if i in keep0 else i for i in range(n)]
@@ -205,18 +206,16 @@ def _traced_matrix(mat: np.ndarray, dims: tuple[int, ...], keep0: Sequence[int])
 def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     """Trace out everything except the (1-based) subsystems in `keep`."""
     idx = rho.profile.block_indices(keep)
-    keep0 = [i - 1 for i in idx]
-    red = _traced_matrix(rho.matrix, rho.profile.dims, keep0)
-    sub = DimensionProfile(tuple(rho.profile.dims[i] for i in keep0))
-    return DensityOp(sub, hermitize(red))
+    sub = DimensionProfile(tuple(rho.profile.dims[i - 1] for i in idx))
+    return DensityOp(sub, hermitize(_traced_matrix(rho.matrix, rho.profile, idx)))
 
 
-def _transposed_matrix(mat: np.ndarray, dims: tuple[int, ...], block0: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    D = math.prod(dims)
+def _transposed_matrix(mat: np.ndarray, profile: DimensionProfile, block: Iterable[int]) -> np.ndarray:
+    """A raw matrix with the (1-based) subsystems in `block` transposed."""
+    dims, n, D = profile.dims, profile.n, profile.total_dim
     perm = list(range(2 * n))
-    for i in block0:
-        perm[i], perm[n + i] = perm[n + i], perm[i]
+    for i in profile.block_indices(block):
+        perm[i - 1], perm[n + i - 1] = perm[n + i - 1], perm[i - 1]
     return mat.reshape(*dims, *dims).transpose(perm).reshape(D, D)
 
 
@@ -228,8 +227,7 @@ def partial_transpose(rho: DensityOp, block: Iterable[int]) -> np.ndarray:
     raw = tuple(block)
     if not raw:
         return rho.matrix.copy()
-    idx = rho.profile.block_indices(raw)
-    return _transposed_matrix(rho.matrix, rho.profile.dims, [i - 1 for i in idx])
+    return _transposed_matrix(rho.matrix, rho.profile, raw)
 
 
 def reduced_spectra(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
@@ -259,13 +257,13 @@ def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
     """Schatten p-norm (p-norm of the singular values); p = inf is the largest one."""
+    p = float(p)
+    if not p >= 1.0:  # also rejects NaN
+        raise InputError(f"Schatten norm needs p >= 1, got {p}")
     M = np.asarray(M, dtype=complex)
     s = np.linalg.svd(M, compute_uv=False)
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
-    p = float(p)
-    if p < 1.0:
-        raise InputError(f"Schatten norm needs p >= 1, got {p}")
     if p == 1.0:
         return float(np.sum(s))
     return float(np.sum(s**p) ** (1.0 / p))
@@ -281,7 +279,7 @@ def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
 def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:
     """Reduced state of a Haar-random purification with the requested rank."""
     D = profile.total_dim
-    rank = int(rank)
+    rank = _whole(rank, "rank")
     if not 1 <= rank <= D:
         raise InputError(f"rank must lie in 1..{D}, got {rank}")
     rng = np.random.default_rng(seed)
@@ -298,7 +296,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(_whole(i, "subsystem index") for i in b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise InputError("partition blocks must be non-empty")
@@ -331,11 +329,10 @@ class Partition:
             raise InputError(f"cannot parse partition {text!r}") from exc
         return cls(blocks)
 
-    def validate_for(self, profile: DimensionProfile) -> None:
-        if self.n != profile.n:
-            raise InputError(
-                f"partition covers {self.n} subsystems but the state has {profile.n}"
-            )
+    def validate_for(self, n: int) -> None:
+        """Check that the partition covers exactly the n parties of a state or spec."""
+        if self.n != n:
+            raise InputError(f"partition covers {self.n} parties, expected {n}")
 
 
 def iter_partitions(n: int, min_blocks: int = 1, max_blocks: int | None = None) -> Iterator[Partition]:

@@ -53,6 +53,20 @@ class TestAcinState:
             ep.AcinParams(-1, 0, 0, 0, 0)
 
 
+# Each spec was accepted (or normalized into NaN coefficients) because a NaN
+# unit-sum deviation fails the `> tol` test; the Acin one then read as genuinely entangled.
+@pytest.mark.parametrize("build", [
+    lambda: ep.AcinParams(math.nan, 0.6, 0, 0, 0.8),
+    lambda: ep.acin_params([math.inf, 1, 1, 1, 1]),
+    lambda: ep.GWSpec([[math.nan], [1], [0]]),
+    lambda: ep.gw_spec([[math.inf, 1], [1, 1]]),
+    lambda: ep.ProductPurificationSpec([math.nan, 0.5], [0.5, 0.5]),
+], ids=["AcinParams", "acin_params", "GWSpec", "gw_spec", "ProductPurificationSpec"])
+def test_non_finite_coefficients_rejected(build):
+    with pytest.raises(ep.InputError):
+        build()
+
+
 class TestAcinSpectra:
     def test_ghz_pairs(self):
         s = 1 / math.sqrt(2)

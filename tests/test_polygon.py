@@ -191,6 +191,12 @@ class TestAlphaSweep:
         with pytest.raises(ep.InputError):
             ep.alpha_sweep([0.5, 0.5], [])
 
+    # [] raised numpy's ValueError from argmax; block 1.5 raised an IndexError
+    @pytest.mark.parametrize("values, block", [([], None), ([0.5, -0.1], None), ([0.5, 0.5], 1.5)])
+    def test_bad_values_or_block_rejected(self, values, block):
+        with pytest.raises(ep.InputError):
+            ep.alpha_sweep(values, [0.5], block=block)
+
 
 class TestAudit:
     def test_gem_haar_no_violations(self):
@@ -299,6 +305,21 @@ class TestAudit:
         for seed, trial in ((-1, 0), (0, -1)):
             with pytest.raises(ep.InputError, match="non-negative"):
                 ep.sample_state(prof, sampler, seed, trial)
+        # fractional values were truncated: seed 2.5 drew seed 2's stream, 2.9 trials ran 2
+        for seed, trial in ((2.5, 0), (0, 1.5)):
+            with pytest.raises(ep.InputError, match="whole number"):
+                ep.sample_state(prof, sampler, seed, trial)
+        for trials, seed in ((2.9, 0), (3, 2.5)):
+            with pytest.raises(ep.InputError, match="whole number"):
+                ep.audit_random(prof, None, ep.GEM, 1.0, trials, seed=seed, sampler=sampler)
+
+    def test_whole_valued_trials_and_seed_accepted(self):
+        prof = ep.DimensionProfile((2, 2))
+        ref = ep.audit_random(prof, None, ep.GEM, 1.0, 3, seed=2)
+        assert ep.audit_random(prof, None, ep.GEM, 1.0, 3.0, seed=np.int64(2)) == ref
+        assert ep.audit_random(prof, None, ep.GEM, 1.0, np.int64(3), seed=2.0) == ref
+        psi = ep.sample_state(prof, "haar", 2.0, np.int64(1))
+        assert np.array_equal(psi.amplitudes, ep.sample_state(prof, "haar", 2, 1).amplitudes)
 
     def test_haar_trial_draws_from_trial_rng(self):
         prof = ep.DimensionProfile((2, 3, 4))

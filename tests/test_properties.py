@@ -1,0 +1,75 @@
+"""Property tests: symmetries that spectra and residuals must respect on any state.
+
+Examples are derandomized and capped, so every run checks the same states.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import entpoly as ep
+from helpers import apply_local_unitaries, haar_unitary, random_unit_vector
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+KINDS = [ep.GEM, ep.NEGATIVITY, ep.CONCURRENCE, ep.q_concurrence_kind(1.5)]
+
+
+@st.composite
+def kets(draw):
+    """A random pure state on 2-4 parties of local dimension 2 or 3."""
+    prof = ep.DimensionProfile(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ep.Ket(prof, random_unit_vector(prof.total_dim, rng))
+
+
+@st.composite
+def proper_blocks(draw, n):
+    """A non-empty proper subset of 1..n."""
+    return tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of 1..n into at least two blocks, in a random block order."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n).filter(lambda ls: len(set(ls)) >= 2))
+    blocks = [tuple(i + 1 for i in range(n) if labels[i] == lab) for lab in dict.fromkeys(labels)]
+    return ep.Partition(tuple(draw(st.permutations(blocks))))
+
+
+@PROPERTY
+@given(st.data())
+def test_residuals_permute_with_block_order(data):
+    psi = data.draw(kets())
+    part = data.draw(partitions(psi.profile.n))
+    order = data.draw(st.permutations(range(part.k)))
+    kind = data.draw(st.sampled_from(KINDS))
+    alpha = data.draw(st.floats(0.05, 1.0))
+    permuted = ep.Partition(tuple(part.blocks[j] for j in order))
+    residuals = ep.epi_residuals(ep.one_to_rest_values(psi, part, kind), alpha)
+    permuted_residuals = ep.epi_residuals(ep.one_to_rest_values(psi, permuted, kind), alpha)
+    assert_allclose(permuted_residuals, residuals[list(order)], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_block_and_complement_share_the_nonzero_spectrum(data):
+    psi = data.draw(kets())
+    block = data.draw(proper_blocks(psi.profile.n))
+    lam = ep.reduced_spectrum(psi, block)
+    mu = ep.reduced_spectrum(psi, psi.profile.complement(block))
+    m = min(lam.size, mu.size)  # beyond the Schmidt rank bound both are zero padding
+    assert_allclose(lam[:m], mu[:m], rtol=0, atol=1e-12)
+    assert_allclose(np.concatenate([lam[m:], mu[m:]]), 0.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_reduced_spectrum_invariant_under_local_unitaries(data):
+    psi = data.draw(kets())
+    block = data.draw(proper_blocks(psi.profile.n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = psi.profile.dims
+    unitaries = [haar_unitary(d, rng) for d in dims]
+    rotated = ep.Ket(psi.profile, apply_local_unitaries(psi.amplitudes, dims, unitaries))
+    assert_allclose(ep.reduced_spectrum(rotated, block), ep.reduced_spectrum(psi, block), rtol=0, atol=1e-12)

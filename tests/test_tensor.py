@@ -33,6 +33,26 @@ class TestProfile:
         with pytest.raises(ep.InputError):
             ep.DimensionProfile(dims)
 
+    # each of these truncated the fractional entry: (1,), label (1, 0) and flat index 2
+    @pytest.mark.parametrize("call", [
+        lambda prof: prof.block_indices((1.7,)),
+        lambda prof: ep.flat_index((1.5, 0), prof),
+        lambda prof: ep.multi_index(2.7, prof),
+    ], ids=["block_indices", "flat_index", "multi_index"])
+    def test_fractional_index_rejected(self, call):
+        with pytest.raises(ep.InputError, match="whole number"):
+            call(ep.DimensionProfile((2, 2)))
+
+    def test_whole_valued_numbers_accepted(self):
+        prof = ep.DimensionProfile((2.0, np.int64(2)))
+        assert prof.dims == (2, 2)
+        assert prof.block_indices((2.0, np.int64(1))) == (1, 2)
+        assert ep.flat_index((1.0, np.int64(1)), prof) == 3
+        assert ep.multi_index(3.0, prof) == ep.multi_index(np.int64(3), prof) == (1, 1)
+        assert ep.Partition(((2.0,), (np.int64(1),))).blocks == ((2,), (1,))
+        rho = ep.random_density(prof, 2.0, seed=0)
+        assert np.array_equal(rho.matrix, ep.random_density(prof, 2, seed=0).matrix)
+
     def test_oversized_profile_rejected_before_allocation(self):
         # 40 qubits would need a 16 TiB ket; the profile itself allocates nothing
         with pytest.raises(ep.InputError, match="MAX_TOTAL_DIM"):
@@ -294,6 +314,8 @@ class TestSchattenNorm:
     def test_p_below_one_rejected(self):
         with pytest.raises(ep.InputError):
             ep.schatten_norm(np.eye(2), 0.5)
+        with pytest.raises(ep.InputError):  # NaN fails no `p < 1` test and returned NaN
+            ep.schatten_norm(np.eye(2), float("nan"))
 
 
 class TestHaarRandomKet:
@@ -356,6 +378,8 @@ class TestRandomDensity:
             ep.random_density(ep.DimensionProfile((2, 2)), 0, seed=0)
         with pytest.raises(ep.InputError):
             ep.random_density(ep.DimensionProfile((2, 2)), 5, seed=0)
+        with pytest.raises(ep.InputError, match="whole number"):  # built a rank-2 state
+            ep.random_density(ep.DimensionProfile((2, 2)), 2.6, seed=0)
 
 
 class TestPartition:
@@ -366,6 +390,11 @@ class TestPartition:
 
     def test_singletons(self):
         assert ep.Partition.singletons(3).blocks == ((1,), (2,), (3,))
+
+    def test_fractional_index_rejected(self):
+        # was the partition 1|2
+        with pytest.raises(ep.InputError, match="whole number"):
+            ep.Partition(((1.9,), (2,)))
 
     @pytest.mark.parametrize("text", ["1|1,2", "1|3", "1|2|", "a|b"])
     def test_bad_partitions(self, text):
