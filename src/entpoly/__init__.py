@@ -14,7 +14,6 @@ from .gallery import (
     GWSpec,
     ProductPurificationSpec,
     acin_cut_determinants,
-    acin_discriminants,
     acin_is_biseparable,
     acin_params,
     acin_schmidt_spectra,
@@ -35,12 +34,9 @@ from .measures import (
     GEM,
     NEGATIVITY,
     MeasureKind,
-    concurrence_pure,
-    gem_pure,
     measure_value,
     negativity,
     negativity_pure_schmidt,
-    q_concurrence,
     q_concurrence_kind,
     wootters_concurrence,
 )

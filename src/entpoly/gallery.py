@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, sparse_ket
+from .tensor import DimensionProfile, InputError, Ket, Partition, _whole, sparse_ket
 
 SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
@@ -91,12 +91,6 @@ def acin_cut_determinants(params: AcinParams) -> tuple[float, float, float]:
     d0 = l0**2 * l3**2 + l0**2 * l4**2 + l1**2 * l4**2 + l2**2 * l3**2 - cross
     d1 = l0**2 * l2**2 + l0**2 * l4**2 + l1**2 * l4**2 + l2**2 * l3**2 - cross
     return da, d0, d1
-
-
-def acin_discriminants(params: AcinParams) -> tuple[float, float]:
-    """(Delta0, Delta1) for the cuts B|AC and C|AB."""
-    _, d0, d1 = acin_cut_determinants(params)
-    return d0, d1
 
 
 def _pair_from_determinant(delta: float) -> np.ndarray:
@@ -272,6 +266,7 @@ _W_RE = re.compile(r"^w\((\d+)\)$")
 
 def ghz_state(n: int) -> Ket:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
+    n = _whole(n, "qubit count")
     if n < 2:
         raise InputError("GHZ needs at least 2 qubits")
     return sparse_ket(DimensionProfile((2,) * n), [((0,) * n, 1.0), ((1,) * n, 1.0)])
@@ -279,6 +274,7 @@ def ghz_state(n: int) -> Ket:
 
 def w_state(n: int) -> Ket:
     """Equal superposition of the n single-excitation qubit labels."""
+    n = _whole(n, "qubit count")
     if n < 2:
         raise InputError("W needs at least 2 qubits")
     return sparse_ket(DimensionProfile((2,) * n), ((_excitation(n, j, 1), 1.0) for j in range(n)))

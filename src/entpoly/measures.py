@@ -2,7 +2,8 @@
 
 Every measure here is evaluated across a cut: a 1-based block of subsystems
 against its complement.  `SPECTRUM_MEASURES` maps each pure-state measure to a
-function of the cut's Schmidt spectrum (or a (T, d) stack of spectra); the
+function of the cut's Schmidt spectrum (or a (T, d) stack of spectra), and
+`measure_value(psi, block, kind)` evaluates any of them on one cut; the
 trace-norm negativity never uses one and also accepts density operators.
 """
 
@@ -101,9 +102,9 @@ def q_concurrence_kind(q: float) -> MeasureKind:
     return MeasureKind("qconcurrence", float(q))
 
 
-def gem_pure(psi: Ket, block) -> float:
-    """Geometric measure 1 - lambda_max across the cut; 0 iff product."""
-    return float(GEM.of_spectra(reduced_spectrum(psi, block)))
+def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
+    """Evaluate a MeasureKind on a pure state across the given cut (Schmidt path)."""
+    return float(kind.of_spectra(reduced_spectrum(psi, block)))
 
 
 def negativity(state: Ket | DensityOp, block) -> float:
@@ -118,18 +119,11 @@ def negativity(state: Ket | DensityOp, block) -> float:
 
 
 def negativity_pure_schmidt(psi: Ket, block) -> float:
-    """((sum_i sqrt(lambda_i))^2 - 1) / 2 from the Schmidt spectrum of the cut."""
-    return float(NEGATIVITY.of_spectra(reduced_spectrum(psi, block)))
+    """((sum_i sqrt(lambda_i))^2 - 1) / 2 from the Schmidt spectrum of the cut.
 
-
-def concurrence_pure(psi: Ket, block) -> float:
-    """sqrt(2 (1 - Tr rho_S^2)) across the cut."""
-    return float(CONCURRENCE.of_spectra(reduced_spectrum(psi, block)))
-
-
-def q_concurrence(psi: Ket, block, q: float) -> float:
-    """1 - Tr rho_S^q for real q >= 1."""
-    return float(q_concurrence_kind(q).of_spectra(reduced_spectrum(psi, block)))
+    The Schmidt-path reference that the trace-norm `negativity` is checked against.
+    """
+    return measure_value(psi, block, NEGATIVITY)
 
 
 _SYSY = np.array(
@@ -164,7 +158,3 @@ def wootters_concurrence(rho: DensityOp) -> float:
     roots = np.sqrt(vals)
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
-
-def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
-    """Evaluate a MeasureKind on a pure state across the given cut (Schmidt path)."""
-    return float(kind.of_spectra(reduced_spectrum(psi, block)))

@@ -77,8 +77,6 @@ class EpiReport:
 def _block_values(profile: DimensionProfile, amplitudes, partition: Partition, measure: MeasureKind):
     """(T, k) one-to-rest values of a (T, D) stack of kets: one stacked SVD per block."""
     partition.validate_for(profile.n)
-    if partition.k < 2:
-        raise InputError("one-to-rest values need at least 2 blocks")
     spectra = (reduced_spectra(profile, amplitudes, block) for block in partition.blocks)
     return np.stack([measure.of_spectra(lam) for lam in spectra], axis=-1)
 
@@ -92,8 +90,8 @@ def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.n
     """r_j = sum_{l != j} v_l^alpha - v_j^alpha for each block j (the last axis)."""
     alpha = _check_alpha(alpha, allow_unproven)
     values = np.asarray(values, dtype=float)
-    if not values.size:
-        raise InputError("measure values must not be empty")
+    if not values.size or values.ndim < 1 or values.shape[-1] < 2:
+        raise InputError(f"a polygon needs at least 2 sides: got measure values of shape {values.shape}")
     if not (np.isfinite(values).all() and (values >= 0).all()):
         raise InputError("measure values must be finite and non-negative")
     powered = _powered(values, alpha)
@@ -207,12 +205,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _purification_dims(profile: DimensionProfile) -> tuple[int, int]:
+def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
+    """Profile of the sampled states; a purification carries its purifier as a third party."""
     dims = profile.dims
+    if sampler != "purification" or (len(dims) == 3 and dims[2] == dims[0] * dims[1]):
+        return profile
     if len(dims) == 2:
-        return dims
-    if len(dims) == 3 and dims[2] == dims[0] * dims[1]:
-        return dims[0], dims[1]
+        return DimensionProfile((*dims, dims[0] * dims[1]))
     raise InputError(
         "purification sampler needs marginal dims [da, db] or a profile "
         f"[da, db, da*db], got {dims}"
@@ -225,7 +224,7 @@ def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int)
     if sampler == "haar":
         return haar_random_ket(profile, rng)
     if sampler == "purification":
-        da, db = _purification_dims(profile)
+        da, db, _ = _state_profile(profile, sampler).dims
         spec = gallery.ProductPurificationSpec(rng.dirichlet(np.ones(da)), rng.dirichlet(np.ones(db)))
         return gallery.product_purification(spec)
     if sampler == "gw":
@@ -236,14 +235,6 @@ def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int)
         coeffs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         return gallery.gw_state(gallery.gw_spec(coeffs))
     raise InputError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
-
-
-def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
-    """Profile of the sampled states; a purification carries its purifier as a third party."""
-    if sampler == "purification":
-        da, db = _purification_dims(profile)
-        return DimensionProfile((da, db, da * db))
-    return profile
 
 
 def audit_partition(profile: DimensionProfile, sampler: str, partition: Partition | None) -> Partition:

@@ -316,7 +316,7 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(1, n + 1)))
+        return cls(tuple((i,) for i in range(1, _whole(n, "party count") + 1)))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -337,8 +337,8 @@ class Partition:
 
 def iter_partitions(n: int, min_blocks: int = 1, max_blocks: int | None = None) -> Iterator[Partition]:
     """All set partitions of 1..n with a block count in [min_blocks, max_blocks]."""
-    if max_blocks is None:
-        max_blocks = n
+    n, min_blocks = _whole(n, "party count"), _whole(min_blocks, "block count")
+    max_blocks = n if max_blocks is None else _whole(max_blocks, "block count")
 
     def grow(i: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i > n:
@@ -353,6 +353,5 @@ def iter_partitions(n: int, min_blocks: int = 1, max_blocks: int | None = None) 
             yield from grow(i + 1, blocks)
             blocks.pop()
 
-    for raw in grow(1, []):
-        if min_blocks <= len(raw) <= max_blocks:
-            yield Partition(raw)
+    # Returned, not yielded, so a bad count raises at the call rather than on first use.
+    return (Partition(raw) for raw in grow(1, []) if min_blocks <= len(raw) <= max_blocks)

@@ -250,14 +250,14 @@ def test_criterion_10_cross_measure_identities():
                 a = ep.negativity(psi, (i,))
                 b = ep.negativity_pure_schmidt(psi, (i,))
                 paths_ok = paths_ok and abs(a - b) < 1e-9
-                c = ep.concurrence_pure(psi, (i,))
-                c2 = ep.q_concurrence(psi, (i,), 2)
+                c = ep.measure_value(psi, (i,), ep.CONCURRENCE)
+                c2 = ep.measure_value(psi, (i,), ep.q_concurrence_kind(2))
                 relation_ok = relation_ok and abs(c - math.sqrt(2 * c2)) < 1e-9
     wootters_ok = True
     for t in range(100):
         psi = ep.haar_random_ket(ep.DimensionProfile((2, 2)), np.random.SeedSequence([20_247, t]))
         w = ep.wootters_concurrence(ep.density_of(psi))
-        c = ep.concurrence_pure(psi, (1,))
+        c = ep.measure_value(psi, (1,), ep.CONCURRENCE)
         wootters_ok = wootters_ok and abs(w - c) < 1e-8
     _report(
         10,

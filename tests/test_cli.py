@@ -140,6 +140,10 @@ class TestSweepCommand:
         res = run(runner, "sweep", "--values", "0.5,x")
         assert res.exit_code == 2
         assert "--values" in res.stderr
+        # a one-value "polygon" exited 0 with negative residuals
+        res = run(runner, "sweep", "--values", "0.5", "--steps", "2")
+        assert res.exit_code == 2
+        assert "at least 2 sides" in res.stderr
 
     def test_alpha_max_needs_flag_on_one_step_grid(self, runner):
         base = ["sweep", "--values", "0.5,0.5", "--alpha-min", "0.5", "--steps", "1"]

@@ -75,7 +75,7 @@ class TestAcinSpectra:
 
     def test_l3_l4_zero_makes_b_cut_trivial(self):
         params = ep.acin_params([0.6, 0.5, 0.4, 0, 0], theta=0.3)
-        d0, d1 = ep.acin_discriminants(params)
+        _, d0, d1 = ep.acin_cut_determinants(params)
         assert abs(d0) < 1e-15
         _, pair_b, _ = ep.acin_schmidt_spectra(params)
         assert_allclose(pair_b, [1.0, 0.0], atol=1e-12)
@@ -120,7 +120,7 @@ class TestAcinBiseparability:
         cuts = ep.acin_is_biseparable(params)
         assert "A" in cuts
         psi = ep.acin_state(params)
-        assert ep.gem_pure(psi, (1,)) < 1e-12
+        assert ep.measure_value(psi, (1,), ep.GEM) < 1e-12
 
     def test_matches_indicator_both_directions(self):
         # Theorem-2 style check: delta vanishes exactly on biseparable draws
@@ -330,3 +330,9 @@ class TestNamedStates:
     def test_unknown_name(self):
         with pytest.raises(ep.InputError):
             ep.named_state("example9")
+
+    @pytest.mark.parametrize("build", [ep.ghz_state, ep.w_state])
+    def test_fractional_qubit_count_rejected(self, build):
+        # raised a bare TypeError from building the (2,) * n profile
+        with pytest.raises(ep.InputError, match="whole number"):
+            build(2.5)

@@ -77,14 +77,14 @@ class TestMeasureKind:
 
 class TestGem:
     def test_product_state(self):
-        assert ep.gem_pure(product_ket((2, 3), 0), (1,)) < 1e-12
+        assert ep.measure_value(product_ket((2, 3), 0), (1,), ep.GEM) < 1e-12
 
     def test_bell(self):
-        assert abs(ep.gem_pure(ep.named_state("bell"), (1,)) - 0.5) < 1e-12
+        assert abs(ep.measure_value(ep.named_state("bell"), (1,), ep.GEM) - 0.5) < 1e-12
 
     def test_example1_values(self):
         psi = ep.named_state("example1")
-        g = [ep.gem_pure(psi, (i,)) for i in (1, 2, 3)]
+        g = [ep.measure_value(psi, (i,), ep.GEM) for i in (1, 2, 3)]
         assert_allclose(g, [16 / 25, 6 / 25, 11 / 25], atol=1e-12)
 
     def test_upper_bound(self):
@@ -92,12 +92,12 @@ class TestGem:
             psi = ep.haar_random_ket(ep.DimensionProfile((2, 3, 4)), seed)
             for block in [(1,), (2,), (3,), (1, 2)]:
                 d_min = min(psi.profile.block_dim(block), psi.profile.block_dim(psi.profile.complement(block)))
-                val = ep.gem_pure(psi, block)
+                val = ep.measure_value(psi, block, ep.GEM)
                 assert 0.0 <= val <= 1.0 - 1.0 / d_min + 1e-12
 
     def test_invalid_block(self):
         with pytest.raises(ep.InputError):
-            ep.gem_pure(ep.named_state("bell"), (1, 2))
+            ep.measure_value(ep.named_state("bell"), (1, 2), ep.GEM)
 
 
 class TestNegativity:
@@ -138,36 +138,36 @@ class TestSchmidtNegativity:
 
 class TestConcurrence:
     def test_bell(self):
-        assert abs(ep.concurrence_pure(ep.named_state("bell"), (1,)) - 1.0) < 1e-12
+        assert abs(ep.measure_value(ep.named_state("bell"), (1,), ep.CONCURRENCE) - 1.0) < 1e-12
 
     def test_product(self):
-        assert ep.concurrence_pure(product_ket((2, 2, 2), 2), (2,)) < 1e-9
+        assert ep.measure_value(product_ket((2, 2, 2), 2), (2,), ep.CONCURRENCE) < 1e-9
 
     def test_maximally_entangled_qutrits(self):
-        val = ep.concurrence_pure(maximally_entangled(3), (1,))
+        val = ep.measure_value(maximally_entangled(3), (1,), ep.CONCURRENCE)
         assert abs(val - math.sqrt(4 / 3)) < 1e-12
 
 
 class TestQConcurrence:
     def test_product(self):
         for q in (1.0, 2.0, 3.5):
-            assert ep.q_concurrence(product_ket((2, 3), 3), (1,), q) < 1e-12
+            assert ep.measure_value(product_ket((2, 3), 3), (1,), ep.q_concurrence_kind(q)) < 1e-12
 
     def test_bell_q2(self):
-        assert abs(ep.q_concurrence(ep.named_state("bell"), (1,), 2) - 0.5) < 1e-12
+        assert abs(ep.measure_value(ep.named_state("bell"), (1,), ep.q_concurrence_kind(2)) - 0.5) < 1e-12
 
     def test_bell_q3(self):
-        assert abs(ep.q_concurrence(ep.named_state("bell"), (1,), 3) - 0.75) < 1e-12
+        assert abs(ep.measure_value(ep.named_state("bell"), (1,), ep.q_concurrence_kind(3)) - 0.75) < 1e-12
 
     def test_q_below_one_rejected(self):
         with pytest.raises(ep.InputError):
-            ep.q_concurrence(ep.named_state("bell"), (1,), 0.9)
+            ep.measure_value(ep.named_state("bell"), (1,), ep.q_concurrence_kind(0.9))
 
     def test_relation_to_concurrence(self):
         for seed in range(10):
             psi = ep.haar_random_ket(ep.DimensionProfile((3, 4)), seed)
-            c = ep.concurrence_pure(psi, (1,))
-            c2 = ep.q_concurrence(psi, (1,), 2)
+            c = ep.measure_value(psi, (1,), ep.CONCURRENCE)
+            c2 = ep.measure_value(psi, (1,), ep.q_concurrence_kind(2))
             assert abs(c - math.sqrt(2 * c2)) < 1e-9
 
 
@@ -184,7 +184,7 @@ class TestWootters:
         for t in range(100):
             psi = ep.haar_random_ket(ep.DimensionProfile((2, 2)), np.random.SeedSequence([41, t]))
             w = ep.wootters_concurrence(ep.density_of(psi))
-            c = ep.concurrence_pure(psi, (1,))
+            c = ep.measure_value(psi, (1,), ep.CONCURRENCE)
             assert abs(w - c) < 1e-8
 
     def test_werner_states(self):

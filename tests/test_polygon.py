@@ -74,6 +74,12 @@ class TestResiduals:
         with pytest.raises(ep.InputError, match="finite"):
             ep.epi_residuals([bad, 0.5, 0.5], 1.0)
 
+    @pytest.mark.parametrize("values", [[0.5], 0.5, [[0.5], [0.2]]])
+    def test_one_sided_polygon_rejected(self, values):
+        # [0.5] gave the residual [-0.707]
+        with pytest.raises(ep.InputError, match="at least 2 sides"):
+            ep.epi_residuals(values, 0.5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, bad):
         with pytest.raises(ep.InputError):

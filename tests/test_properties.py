@@ -73,3 +73,24 @@ def test_reduced_spectrum_invariant_under_local_unitaries(data):
     unitaries = [haar_unitary(d, rng) for d in dims]
     rotated = ep.Ket(psi.profile, apply_local_unitaries(psi.amplitudes, dims, unitaries))
     assert_allclose(ep.reduced_spectrum(rotated, block), ep.reduced_spectrum(psi, block), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_gw_coarse_graining_keeps_block_spectra(data):
+    # n <= 5 and d <= 3 keep the coarse-grained ket at most 7^4 = 2401 amplitudes (4 blocks, one of 2 parties)
+    n, d = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    silent = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda s: not all(s)))
+    coeffs[silent] = 0.0  # parties with zero weight
+    spec = ep.gw_spec(coeffs)
+    part = data.draw(partitions(n))
+    psi = ep.gw_state(spec)
+    merged = ep.gw_state(ep.gw_coarse_grain(spec, part))
+    for j, block in enumerate(part.blocks):
+        lam = ep.reduced_spectrum(psi, block)
+        mu = ep.reduced_spectrum(merged, (j + 1,))
+        m = min(lam.size, mu.size)  # both are descending; past the shorter one only zeros remain
+        assert_allclose(lam[:m], mu[:m], rtol=0, atol=1e-12)
+        assert_allclose(np.concatenate([lam[m:], mu[m:]]), 0.0, rtol=0, atol=1e-12)

@@ -396,6 +396,17 @@ class TestPartition:
         with pytest.raises(ep.InputError, match="whole number"):
             ep.Partition(((1.9,), (2,)))
 
+    # singletons(2.5) raised a bare TypeError; iter_partitions(2.5) yielded the partitions of 1..2
+    @pytest.mark.parametrize("build", [
+        lambda: ep.Partition.singletons(2.5),
+        lambda: ep.iter_partitions(2.5),
+        lambda: ep.iter_partitions(3, 1.5),
+        lambda: ep.iter_partitions(3, 1, 2.5),
+    ], ids=["singletons", "iter_partitions_n", "min_blocks", "max_blocks"])
+    def test_fractional_count_rejected(self, build):
+        with pytest.raises(ep.InputError, match="whole number"):
+            build()
+
     @pytest.mark.parametrize("text", ["1|1,2", "1|3", "1|2|", "a|b"])
     def test_bad_partitions(self, text):
         with pytest.raises(ep.InputError):
