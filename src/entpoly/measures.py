@@ -18,7 +18,6 @@ from .tensor import (
     InputError,
     Ket,
     _transposed_matrix,
-    hermitize,
     reduced_spectrum,
 )
 
@@ -76,9 +75,9 @@ class MeasureKind:
     @classmethod
     def parse(cls, name: str, q: float | None = None) -> "MeasureKind":
         name = name.strip().lower()
-        if name == "qconcurrence":
-            return cls(name, 2.0 if q is None else float(q))
-        return cls(name)
+        if name == "qconcurrence" and q is None:
+            q = 2.0
+        return cls(name, q)
 
     @property
     def label(self) -> str:
@@ -114,7 +113,9 @@ def negativity(state: Ket | DensityOp, block) -> float:
     else:
         mat = state.matrix
     pt = _transposed_matrix(mat, state.profile, block)
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(pt)))))
+    # eigvalsh reads only the lower triangle and the real part of the diagonal, so
+    # pt needs no symmetrized copy: a ket's outer product is Hermitian to roundoff.
+    tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     return max(0.0, (tn - 1.0) / 2.0)
 
 

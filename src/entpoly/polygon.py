@@ -31,7 +31,7 @@ MEASURE_FLOOR = 1e-12
 SAMPLERS = ("haar", "purification", "gw")
 
 # Audits stack trials in chunks of at most this many amplitudes (1 MiB), so
-# memory does not grow with the trial count.
+# amplitude memory stays bounded; only one 8-byte minimum per trial is kept.
 AUDIT_CHUNK_ELEMS = 1 << 16
 
 
@@ -169,8 +169,10 @@ def alpha_sweep(
     grid = [float(a) for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must not be empty")
-    rows = [epi_residuals(values, alpha, allow_unproven=allow_unproven) for alpha in grid]
     values = np.asarray(values, dtype=float)
+    if values.ndim > 1:
+        raise InputError(f"a sweep takes the values of one polygon, got shape {values.shape}")
+    rows = [epi_residuals(values, alpha, allow_unproven=allow_unproven) for alpha in grid]
     block = int(np.argmax(values)) if block is None else _whole(block, "designated block")
     if not 0 <= block < len(values):
         raise InputError(f"designated block {block} out of range")

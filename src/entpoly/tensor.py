@@ -116,7 +116,11 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class DensityOp:
-    """Hermitian, PSD, unit-trace operator over a DimensionProfile."""
+    """PSD, unit-trace operator over a DimensionProfile.
+
+    The input must be Hermitian to HERMITIAN_TOL; the stored matrix is its
+    Hermitian part (M + M^dag)/2, so it is exactly Hermitian.
+    """
 
     profile: DimensionProfile
     matrix: np.ndarray
@@ -128,22 +132,20 @@ class DensityOp:
             raise InputError(f"expected a {D}x{D} matrix for dims {self.profile.dims}")
         if not np.isfinite(mat).all():
             raise InputError("density matrix entries must be finite")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        adjoint = mat.conj().T
+        herm_dev = float(np.max(np.abs(mat - adjoint)))
         if herm_dev > HERMITIAN_TOL:
             raise InputError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InputError(f"trace must be 1, got {tr}")
-        lo = float(np.min(np.linalg.eigvalsh(hermitize(mat))))
+        mat += adjoint  # adjoint is a fresh array (conj copies), so this does not alias
+        mat /= 2
+        lo = float(np.min(np.linalg.eigvalsh(mat)))
         if lo < -PSD_TOL:
             raise InputError(f"matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-
-def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Symmetrize (M + M^dag)/2 so symmetric eigensolvers see no drift."""
-    return (mat + mat.conj().T) / 2.0
 
 
 def flat_index(multi: Sequence[int], profile: DimensionProfile) -> int:
@@ -191,23 +193,15 @@ def density_of(psi: Ket) -> DensityOp:
     return DensityOp(psi.profile, mat)
 
 
-def _traced_matrix(mat: np.ndarray, profile: DimensionProfile, keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a raw matrix onto the (1-based) subsystems in `keep`."""
-    dims, n = profile.dims, profile.n
-    keep0 = [i - 1 for i in profile.block_indices(keep)]
-    T = mat.reshape(*dims, *dims)
-    row = list(range(n))
-    col = [n + i if i in keep0 else i for i in range(n)]
-    out = [i for i in keep0] + [n + i for i in keep0]
-    dk = math.prod(dims[i] for i in keep0)
-    return np.einsum(T, row + col, out).reshape(dk, dk)
-
-
 def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     """Trace out everything except the (1-based) subsystems in `keep`."""
-    idx = rho.profile.block_indices(keep)
-    sub = DimensionProfile(tuple(rho.profile.dims[i - 1] for i in idx))
-    return DensityOp(sub, hermitize(_traced_matrix(rho.matrix, rho.profile, idx)))
+    dims, n = rho.profile.dims, rho.profile.n
+    keep0 = [i - 1 for i in rho.profile.block_indices(keep)]
+    sub = DimensionProfile(tuple(dims[i] for i in keep0))
+    col = [n + i if i in keep0 else i for i in range(n)]
+    out = keep0 + [n + i for i in keep0]
+    traced = np.einsum(rho.matrix.reshape(*dims, *dims), list(range(n)) + col, out)
+    return DensityOp(sub, traced.reshape(sub.total_dim, sub.total_dim))
 
 
 def _transposed_matrix(mat: np.ndarray, profile: DimensionProfile, block: Iterable[int]) -> np.ndarray:
@@ -264,8 +258,6 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     s = np.linalg.svd(M, compute_uv=False)
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
-    if p == 1.0:
-        return float(np.sum(s))
     return float(np.sum(s**p) ** (1.0 / p))
 
 
@@ -286,7 +278,7 @@ def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:
     G = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
     mat = G @ G.conj().T
     mat /= float(np.trace(mat).real)
-    return DensityOp(profile, hermitize(mat))
+    return DensityOp(profile, mat)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,22 @@ Everything here is deliberately written against raw numpy arrays with
 explicit index loops, so it shares no code path with the package.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """Load perfbench/<name>.py by file path, as a fresh module that is only read."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def flat(label, dims):

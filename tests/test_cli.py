@@ -42,6 +42,10 @@ class TestMeasureCommand:
         res = run(runner, "measure", "--state", "gallery:bell",
                   "--partition", "1|2|3", "--measure", "gem")
         assert res.exit_code == 2
+        # q belongs to qconcurrence only
+        res = run(runner, "measure", "--state", "gallery:bell", "--measure", "gem", "--q", "3")
+        assert res.exit_code == 2
+        assert "takes no q" in res.stderr
 
     def test_oversized_state_exits_2(self, runner):
         res = run(runner, "measure", "--state", "gallery:ghz(40)", "--measure", "gem")
@@ -208,6 +212,9 @@ class TestAuditCommand:
         res = run(runner, "audit", "--dims", "2,2", "--measure", "gem", "--trials", "3", "--seed", "-1")
         assert res.exit_code == 2
         assert res.stderr.startswith("error:") and "non-negative" in res.stderr
+        res = run(runner, "audit", "--dims", "2,2", "--measure", "concurrence", "--q", "0.5", "--trials", "3")
+        assert res.exit_code == 2
+        assert "takes no q" in res.stderr
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_bad_tolerance_exits_2(self, runner, bad):

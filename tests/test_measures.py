@@ -61,6 +61,8 @@ class TestMeasureKind:
             ep.MeasureKind("qconcurrence", math.nan)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("gem", 2.0)
+        with pytest.raises(ep.InputError, match="takes no q"):
+            ep.MeasureKind.parse("gem", 3)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
 

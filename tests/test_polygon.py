@@ -197,8 +197,12 @@ class TestAlphaSweep:
         with pytest.raises(ep.InputError):
             ep.alpha_sweep([0.5, 0.5], [])
 
-    # [] raised numpy's ValueError from argmax; block 1.5 raised an IndexError
-    @pytest.mark.parametrize("values, block", [([], None), ([0.5, -0.1], None), ([0.5, 0.5], 1.5)])
+    # [] raised numpy's ValueError from argmax; block 1.5 raised an IndexError;
+    # a stack of value rows raised a TypeError
+    @pytest.mark.parametrize(
+        "values, block",
+        [([], None), ([0.5, -0.1], None), ([0.5, 0.5], 1.5), ([[0.5, 0.5], [0.3, 0.2]], None)],
+    )
     def test_bad_values_or_block_rejected(self, values, block):
         with pytest.raises(ep.InputError):
             ep.alpha_sweep(values, [0.5], block=block)

@@ -4,19 +4,14 @@ The benchmark's workload module is loaded by file path and only read: its
 audit grid and CLI catalogue are the inputs, its reference files the answers.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from entpoly import polygon
+from helpers import load_perfbench
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+workloads = load_perfbench("workloads")
 
 TRIALS = 3  # the recorded T = 3 sweep; the T = 200 one is the benchmark's own load
 

@@ -6,18 +6,12 @@ form, and `dense_tracenorm` checks it on Haar kets against the Schmidt path
 and only read; one tiny cycle of each runs here.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from entpoly import gallery, measures
+from helpers import load_perfbench
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-_spec = importlib.util.spec_from_file_location("perfbench_workloads_checks", WORKLOADS)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+workloads = load_perfbench("workloads")
 
 # (workload, the module and name of the reference it checks against)
 CASES = [

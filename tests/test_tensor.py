@@ -128,6 +128,23 @@ class TestKetAndDensity:
         with pytest.raises(ep.InputError, match="finite"):
             ep.DensityOp(ep.DimensionProfile((2,)), np.diag([bad, 0.5]))
 
+    def test_density_of_is_exactly_hermitian(self):
+        # the outer product of a Haar ket is Hermitian only to roundoff
+        for seed in range(8):
+            mat = ep.density_of(haar((2, 3, 2), seed)).matrix
+            assert np.array_equal(mat, mat.conj().T)
+
+    def test_density_stores_hermitian_part(self):
+        mat = np.array([[0.5, 0.25 + 1e-13], [0.25, 0.5]], dtype=complex)
+        rho = ep.DensityOp(ep.DimensionProfile((2,)), mat)
+        assert np.array_equal(rho.matrix, (mat + mat.conj().T) / 2)
+        assert not np.array_equal(rho.matrix, mat)
+
+    def test_density_rejects_non_hermitian(self):
+        mat = np.array([[0.5, 0.25 + 10 * ep.HERMITIAN_TOL], [0.25, 0.5]], dtype=complex)
+        with pytest.raises(ep.InputError, match="not Hermitian"):
+            ep.DensityOp(ep.DimensionProfile((2,)), mat)
+
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):

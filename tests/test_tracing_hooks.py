@@ -1,16 +1,12 @@
 """The benchmark's layer tracing wraps entpoly bindings by (module, attribute)."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from helpers import load_perfbench
 
 
 def test_every_hook_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     for module_name, attr, layer, _ in tracing.HOOKS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({layer})"
