@@ -202,7 +202,7 @@ def cmd_measure(state, partition_text, measure, q, fmt):
     """One-to-rest measure values for each partition block."""
     psi = load_state(state)
     part = _resolve_partition(partition_text, psi)
-    kind = MeasureKind.parse(measure, q)
+    kind = MeasureKind(measure, q)
     values = one_to_rest_values(psi, part, kind)
     payload = {
         "command": "measure",
@@ -229,7 +229,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
     """Check the polygon inequality; exit 0 if it holds, 1 if violated."""
     psi = load_state(state)
     part = _resolve_partition(partition_text, psi)
-    kind = MeasureKind.parse(measure, q)
+    kind = MeasureKind(measure, q)
     report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
     payload = {
         "command": "epi-check",
@@ -285,7 +285,7 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
     else:
         psi = load_state(state)
         part = _resolve_partition(partition_text, psi)
-        kind = MeasureKind.parse(measure, q)
+        kind = MeasureKind(measure, q)
         values = one_to_rest_values(psi, part, kind)
         source = state
     _check_alpha(alpha_max, allow_unproven)  # also when a one-step grid leaves it unsampled
@@ -322,7 +322,7 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
     """Randomized polygon audit; violations where the inequality is proven exit 1."""
     profile = _parse_dims(dims)
     part = None if partition_text is None else Partition.parse(partition_text)
-    kind = MeasureKind.parse(measure, q)
+    kind = MeasureKind(measure, q)
     summary = audit_random(
         profile, part, kind, alpha, trials, seed,
         sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,

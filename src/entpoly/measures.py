@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    DensityOp,
-    InputError,
-    Ket,
-    _transposed_matrix,
-    reduced_spectrum,
-)
+from .tensor import DensityOp, InputError, Ket, partial_transpose, reduced_spectrum
 
 # Eigenvalues of the Wootters spin-flip product are real and non-negative up
 # to roundoff; anything beyond these tolerances signals a logic error.
@@ -55,7 +49,7 @@ SPECTRUM_MEASURES = {
 
 @dataclass(frozen=True)
 class MeasureKind:
-    """Selects one of the supported measures; `q` applies to qconcurrence only."""
+    """Selects one of the supported measures; `q` applies to qconcurrence only (default 2)."""
 
     name: str
     q: float | None = None
@@ -64,20 +58,15 @@ class MeasureKind:
         if self.name not in SPECTRUM_MEASURES:
             raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
         if self.name == "qconcurrence":
-            if self.q is None:
-                raise InputError("qconcurrence needs a q parameter")
-            object.__setattr__(self, "q", float(self.q))
-            if not self.q >= 1.0:  # also rejects NaN
-                raise InputError(f"qconcurrence needs q >= 1, got {self.q}")
+            try:
+                q = 2.0 if self.q is None else float(self.q)
+            except (TypeError, ValueError):
+                raise InputError(f"qconcurrence needs a real q, got {self.q!r}") from None
+            if not q >= 1.0:  # also rejects NaN
+                raise InputError(f"qconcurrence needs q >= 1, got {q}")
+            object.__setattr__(self, "q", q)
         elif self.q is not None:
             raise InputError(f"measure {self.name!r} takes no q parameter")
-
-    @classmethod
-    def parse(cls, name: str, q: float | None = None) -> "MeasureKind":
-        name = name.strip().lower()
-        if name == "qconcurrence" and q is None:
-            q = 2.0
-        return cls(name, q)
 
     @property
     def label(self) -> str:
@@ -107,12 +96,8 @@ def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
 
 
 def negativity(state: Ket | DensityOp, block) -> float:
-    """(trace norm of the partial transpose - 1) / 2, for kets or densities."""
-    if isinstance(state, Ket):
-        mat = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        mat = state.matrix
-    pt = _transposed_matrix(mat, state.profile, block)
+    """(trace norm of the partial transpose - 1) / 2 across a proper cut, for kets or densities."""
+    pt = partial_transpose(state, state.profile.block_indices(block, allow_full=False))
     # eigvalsh reads only the lower triangle and the real part of the diagonal, so
     # pt needs no symmetrized copy: a ket's outer product is Hermitian to roundoff.
     tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))

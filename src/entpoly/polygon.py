@@ -133,10 +133,8 @@ def indicator_delta(psi: Ket, alpha: float) -> tuple[float, np.ndarray]:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InputError(f"indicator needs alpha in (0, 1), got {alpha}")
-    partition = Partition.singletons(psi.profile.n)
-    values = one_to_rest_values(psi, partition, MeasureKind("gem"))
-    taus = epi_residuals(values, alpha)
-    return float(taus.min()), taus
+    report = epi_report(psi, Partition.singletons(psi.profile.n), MeasureKind("gem"), alpha)
+    return report.min_residual, np.array(report.residuals)
 
 
 def power_inequality_holds(a: float, b: float, c: float, alpha: float) -> bool:

@@ -178,7 +178,10 @@ def sparse_ket(profile: DimensionProfile, terms: Iterable[tuple[Sequence[int], c
     amp = np.zeros(profile.total_dim, dtype=complex)
     for label, value in terms:
         amp[flat_index(label, profile)] = value
-    return Ket(profile, amp / float(np.linalg.norm(amp)))
+    nrm = float(np.linalg.norm(amp))
+    if not 0.0 < nrm < np.inf:  # checked before dividing: 0/0 and inf/inf would warn
+        raise InputError(f"sparse ket amplitudes must be finite and not all zero, got norm {nrm}")
+    return Ket(profile, amp / nrm)
 
 
 def basis_ket(profile: DimensionProfile, multi: Sequence[int]) -> Ket:
@@ -204,24 +207,22 @@ def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     return DensityOp(sub, traced.reshape(sub.total_dim, sub.total_dim))
 
 
-def _transposed_matrix(mat: np.ndarray, profile: DimensionProfile, block: Iterable[int]) -> np.ndarray:
-    """A raw matrix with the (1-based) subsystems in `block` transposed."""
+def partial_transpose(state: Ket | DensityOp, block: Iterable[int]) -> np.ndarray:
+    """Transpose the (1-based) subsystems in `block` of a density, or of |psi><psi| for a ket.
+
+    Hermitian but maybe not PSD.  Pure axis reindexing, so applying it twice
+    restores the input bit-exactly.
+    """
+    profile = state.profile
     dims, n, D = profile.dims, profile.n, profile.total_dim
     perm = list(range(2 * n))
     for i in profile.block_indices(block):
         perm[i - 1], perm[n + i - 1] = perm[n + i - 1], perm[i - 1]
+    if isinstance(state, Ket):
+        mat = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        mat = state.matrix
     return mat.reshape(*dims, *dims).transpose(perm).reshape(D, D)
-
-
-def partial_transpose(rho: DensityOp, block: Iterable[int]) -> np.ndarray:
-    """Transpose the (1-based) subsystems in `block`; Hermitian but maybe not PSD.
-
-    Pure axis reindexing, so applying it twice restores the input bit-exactly.
-    """
-    raw = tuple(block)
-    if not raw:
-        return rho.matrix.copy()
-    return _transposed_matrix(rho.matrix, rho.profile, raw)
 
 
 def reduced_spectra(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
@@ -255,6 +256,8 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     if not p >= 1.0:  # also rejects NaN
         raise InputError(f"Schatten norm needs p >= 1, got {p}")
     M = np.asarray(M, dtype=complex)
+    if not np.isfinite(M).all():
+        raise InputError("Schatten norm needs a finite matrix")
     s = np.linalg.svd(M, compute_uv=False)
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0

@@ -50,9 +50,9 @@ ALL_CUT_MEASURES = [
 
 class TestMeasureKind:
     def test_parse(self):
-        assert ep.MeasureKind.parse("gem") == ep.GEM
-        assert ep.MeasureKind.parse("qconcurrence", 3).q == 3.0
-        assert ep.MeasureKind.parse("qconcurrence").q == 2.0
+        assert ep.MeasureKind("gem") == ep.GEM
+        assert ep.MeasureKind("qconcurrence", 3).q == 3.0
+        assert ep.MeasureKind("qconcurrence").q == 2.0
 
     def test_q_validation(self):
         with pytest.raises(ep.InputError):
@@ -62,16 +62,22 @@ class TestMeasureKind:
         with pytest.raises(ep.InputError):
             ep.MeasureKind("gem", 2.0)
         with pytest.raises(ep.InputError, match="takes no q"):
-            ep.MeasureKind.parse("gem", 3)
+            ep.MeasureKind("gem", 3)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
+
+    @pytest.mark.parametrize("bad", ["x", 1j, [2]])
+    def test_q_that_is_not_a_real_number_rejected(self, bad):
+        # float() alone raises a bare ValueError or TypeError on these
+        with pytest.raises(ep.InputError, match="real q"):
+            ep.MeasureKind("qconcurrence", bad)
 
     def test_one_list_of_names(self):
         from entpoly.measures import SPECTRUM_MEASURES
         from entpoly.cli import main
 
         for name in SPECTRUM_MEASURES:
-            assert ep.MeasureKind.parse(name).name == name
+            assert ep.MeasureKind(name).name == name
         for command in ("measure", "epi-check", "sweep", "audit"):
             option = next(p for p in main.commands[command].params if p.name == "measure")
             assert list(option.type.choices) == list(SPECTRUM_MEASURES)
@@ -120,6 +126,25 @@ class TestNegativity:
         assert abs(ep.negativity(rho, (1,)) - 0.5) < 1e-12
         mixed = ep.DensityOp(ep.DimensionProfile((2, 2)), np.eye(4) / 4)
         assert ep.negativity(mixed, (1,)) < 1e-12
+
+
+HAAR_232 = ep.haar_random_ket(ep.DimensionProfile((2, 3, 2)), 41)
+
+
+@pytest.mark.parametrize("state", [HAAR_232, ep.density_of(HAAR_232)], ids=["ket", "density"])
+@pytest.mark.parametrize("block", [(), (1, 2, 3), (1, 1), (4,), (2.5,), (1,), (2,), (3,), (1, 3), (2, 3)])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_negativity_takes_the_cuts_measure_value_takes(state, block, as_generator):
+    def cut():  # a fresh generator per call: each path may read it only once
+        return (i for i in block) if as_generator else block
+
+    try:
+        schmidt = ep.measure_value(HAAR_232, cut(), ep.NEGATIVITY)
+    except ep.InputError:
+        with pytest.raises(ep.InputError):
+            ep.negativity(state, cut())
+        return
+    assert abs(ep.negativity(state, cut()) - schmidt) < 1e-9
 
 
 class TestSchmidtNegativity:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
-from entpoly.tensor import MAX_TOTAL_DIM, reduced_spectra
+from entpoly.tensor import MAX_TOTAL_DIM, reduced_spectra, sparse_ket
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
 P222 = ep.DimensionProfile((2, 2, 2))
@@ -94,6 +94,14 @@ class TestKetAndDensity:
         psi = ep.basis_ket(P222, (0, 0, 0))
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "terms", [[], [((0, 0, 0), 0.0), ((1, 1, 1), 0j)], [((0, 0, 0), np.inf)], [((0, 0, 0), np.nan)]]
+    )
+    def test_sparse_ket_rejects_zero_or_non_finite_terms(self, terms):
+        # checked before dividing by the norm, so no 0/0 or inf/inf warning either
+        with pytest.raises(ep.InputError, match="not all zero"):
+            sparse_ket(P222, terms)
 
     def test_density_of_basis_state(self):
         rho = ep.density_of(ep.basis_ket(ep.DimensionProfile((2,)), (0,)))
@@ -224,6 +232,25 @@ class TestPartialTranspose:
             restored = pt.reshape(2, 2, 3, 2, 2, 3).transpose(perm).reshape(12, 12)
             assert np.array_equal(restored, rho.matrix)
 
+    def test_ket_is_its_projector(self):
+        psi = haar((2, 2, 3), 6)
+        rho = ep.density_of(psi)
+        for block in [(1,), (2,), (3,), (1, 3), (1, 2, 3)]:
+            pt = ep.partial_transpose(psi, block)
+            assert np.max(np.abs(pt - ep.partial_transpose(rho, block))) < 1e-15
+            # transposing the same block again on the raw matrix restores |psi><psi|
+            perm = list(range(6))
+            for i in [b - 1 for b in block]:
+                perm[i], perm[3 + i] = perm[3 + i], perm[i]
+            restored = pt.reshape(2, 2, 3, 2, 2, 3).transpose(perm).reshape(12, 12)
+            assert np.array_equal(restored, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+    def test_empty_block_rejected(self):
+        rho = ep.random_density(ep.DimensionProfile((2, 3)), 4, seed=9)
+        for state in (rho, haar((2, 3), 9)):
+            with pytest.raises(ep.InputError, match="empty"):
+                ep.partial_transpose(state, ())
+
     def test_preserves_trace_and_hermiticity(self):
         rho = ep.random_density(ep.DimensionProfile((2, 3)), 4, seed=9)
         pt = ep.partial_transpose(rho, (2,))
@@ -327,6 +354,12 @@ class TestSchattenNorm:
         rho = ep.DensityOp(ep.DimensionProfile((2, 3)), np.kron(rho_a, rho_b))
         tn = ep.schatten_norm(ep.partial_transpose(rho, (1,)), 1)
         assert abs(tn - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.diag([np.nan, 1.0]), np.full((2, 2), np.inf)])
+    def test_non_finite_matrix_rejected(self, bad):
+        # unchecked, a NaN entry stops the SVD from converging and an all-inf matrix yields nan
+        with pytest.raises(ep.InputError, match="finite"):
+            ep.schatten_norm(bad, 1)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ep.InputError):
