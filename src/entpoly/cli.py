@@ -309,7 +309,7 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
 @click.option("--partition", "partition_text", default=None)
 @_measure_option
 @_q_option
-@click.option("--sampler", type=click.Choice(SAMPLERS), default="haar", show_default=True)
+@click.option("--sampler", type=click.Choice(list(SAMPLERS)), default="haar", show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOp, InputError, Ket, partial_transpose, reduced_spectrum
+from .tensor import DensityOp, InputError, Ket, _real, partial_transpose, reduced_spectrum
 
 # Eigenvalues of the Wootters spin-flip product are real and non-negative up
 # to roundoff; anything beyond these tolerances signals a logic error.
@@ -58,10 +58,7 @@ class MeasureKind:
         if self.name not in SPECTRUM_MEASURES:
             raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
         if self.name == "qconcurrence":
-            try:
-                q = 2.0 if self.q is None else float(self.q)
-            except (TypeError, ValueError):
-                raise InputError(f"qconcurrence needs a real q, got {self.q!r}") from None
+            q = 2.0 if self.q is None else _real(self.q, "q")
             if not q >= 1.0:  # also rejects NaN
                 raise InputError(f"qconcurrence needs q >= 1, got {q}")
             object.__setattr__(self, "q", q)
@@ -87,7 +84,7 @@ CONCURRENCE = MeasureKind("concurrence")
 
 
 def q_concurrence_kind(q: float) -> MeasureKind:
-    return MeasureKind("qconcurrence", float(q))
+    return MeasureKind("qconcurrence", _real(q, "q"))  # MeasureKind would read None as q = 2
 
 
 def measure_value(psi: Ket, block, kind: MeasureKind) -> float:

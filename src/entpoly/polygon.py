@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gallery
 from .measures import MeasureKind, measure_value  # noqa: F401  (bound here for perfbench/tracing.py)
-from .tensor import DimensionProfile, InputError, Ket, Partition, _whole, haar_random_ket, reduced_spectra
+from .tensor import DimensionProfile, InputError, Ket, Partition, _real, _whole, haar_random_ket, reduced_spectra
 
 # A residual below -VIOLATION_TOL counts as a violation; measure values
 # compound several decompositions, so this sits well above the 1e-12
@@ -27,8 +27,6 @@ VIOLATION_TOL = 1e-9
 # (0^alpha := 0): fractional powers would otherwise blow 1e-16 roundoff
 # residue up to order one.
 MEASURE_FLOOR = 1e-12
-
-SAMPLERS = ("haar", "purification", "gw")
 
 # Audits stack trials in chunks of at most this many amplitudes (1 MiB), so
 # amplitude memory stays bounded; only one 8-byte minimum per trial is kept.
@@ -43,7 +41,7 @@ def _powered(values: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _check_alpha(alpha: float, allow_unproven: bool) -> float:
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha")
     if not 0.0 < alpha < np.inf:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
     if alpha > 1.0 and not allow_unproven:
@@ -55,7 +53,7 @@ def _check_alpha(alpha: float, allow_unproven: bool) -> float:
 
 
 def _check_tolerance(tolerance: float) -> float:
-    tolerance = float(tolerance)
+    tolerance = _real(tolerance, "tolerance")
     if not 0.0 <= tolerance < np.inf:  # also rejects NaN, which would count no violation
         raise InputError(f"tolerance must be finite and non-negative, got {tolerance}")
     return tolerance
@@ -130,7 +128,7 @@ def indicator_delta(psi: Ket, alpha: float) -> tuple[float, np.ndarray]:
     qubits delta vanishes exactly on the biseparable states.  Needs
     alpha in (0, 1), open at both ends.
     """
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"indicator needs alpha in (0, 1), got {alpha}")
     report = epi_report(psi, Partition.singletons(psi.profile.n), MeasureKind("gem"), alpha)
@@ -164,7 +162,7 @@ def alpha_sweep(
     `block` is the 0-based position in `values`; by default the largest value,
     which is the binding side of the inequality.
     """
-    grid = [float(a) for a in alpha_grid]
+    grid = [_real(a, "alpha") for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must not be empty")
     values = np.asarray(values, dtype=float)
@@ -205,45 +203,39 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
-    """Profile of the sampled states; a purification carries its purifier as a third party."""
+def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
+    """Product purification of random marginal spectra; the purifier is a third party."""
     dims = profile.dims
-    if sampler != "purification" or (len(dims) == 3 and dims[2] == dims[0] * dims[1]):
-        return profile
-    if len(dims) == 2:
-        return DimensionProfile((*dims, dims[0] * dims[1]))
-    raise InputError(
-        "purification sampler needs marginal dims [da, db] or a profile "
-        f"[da, db, da*db], got {dims}"
-    )
+    if not (len(dims) == 2 or (len(dims) == 3 and dims[2] == dims[0] * dims[1])):
+        raise InputError(f"purification sampler needs dims [da, db] or [da, db, da*db], got {dims}")
+    da, db = dims[:2]
+    spec = gallery.ProductPurificationSpec(rng.dirichlet(np.ones(da)), rng.dirichlet(np.ones(db)))
+    return gallery.product_purification(spec)
+
+
+def _gw(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
+    """GW state with Gaussian coefficients on n parties of equal local dimension d+1."""
+    if len(set(profile.dims)) != 1:
+        raise InputError(f"gw sampler needs equal local dimensions, got {profile.dims}")
+    n, d = profile.n, profile.dims[0] - 1
+    coeffs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return gallery.gw_state(gallery.gw_spec(coeffs))
+
+
+# name -> (profile, rng) -> Ket.  "haar" looks haar_random_ket up at call time,
+# so a wrapper bound over this module's name (perfbench/tracing.py) sees each draw.
+SAMPLERS = {
+    "haar": lambda profile, rng: haar_random_ket(profile, rng),
+    "purification": _purification,
+    "gw": _gw,
+}
 
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
     """Draw the trial state for an audit; deterministic in (seed, trial)."""
-    rng = trial_rng(seed, trial)
-    if sampler == "haar":
-        return haar_random_ket(profile, rng)
-    if sampler == "purification":
-        da, db, _ = _state_profile(profile, sampler).dims
-        spec = gallery.ProductPurificationSpec(rng.dirichlet(np.ones(da)), rng.dirichlet(np.ones(db)))
-        return gallery.product_purification(spec)
-    if sampler == "gw":
-        dims = profile.dims
-        if len(set(dims)) != 1:
-            raise InputError(f"gw sampler needs equal local dimensions, got {dims}")
-        n, d = len(dims), dims[0] - 1
-        coeffs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        return gallery.gw_state(gallery.gw_spec(coeffs))
-    raise InputError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
-
-
-def audit_partition(profile: DimensionProfile, sampler: str, partition: Partition | None) -> Partition:
-    """Resolve the partition an audit runs on (singletons by default)."""
-    state_n = _state_profile(profile, sampler).n
-    if partition is None:
-        return Partition.singletons(state_n)
-    partition.validate_for(state_n)
-    return partition
+    if not isinstance(sampler, str) or sampler not in SAMPLERS:  # a list would not hash
+        raise InputError(f"unknown sampler {sampler!r}, expected one of {tuple(SAMPLERS)}")
+    return SAMPLERS[sampler](profile, trial_rng(seed, trial))
 
 
 def audit_trial_report(
@@ -259,8 +251,8 @@ def audit_trial_report(
     allow_unproven: bool = False,
 ) -> EpiReport:
     """Replay a single audit trial from its derived seed."""
-    partition = audit_partition(profile, sampler, partition)
     psi = sample_state(profile, sampler, seed, trial)
+    partition = Partition.singletons(psi.profile.n) if partition is None else partition
     return epi_report(
         psi, partition, measure, alpha, tolerance=tolerance, allow_unproven=allow_unproven
     )
@@ -287,8 +279,8 @@ def audit_random(
         raise InputError(f"need at least 1 trial, got {trials}")
     alpha = _check_alpha(alpha, allow_unproven)
     tolerance = _check_tolerance(tolerance)
-    partition = audit_partition(profile, sampler, partition)
-    state_profile = _state_profile(profile, sampler)
+    state_profile = sample_state(profile, sampler, seed, 0).profile  # every audit has trial 0
+    partition = Partition.singletons(state_profile.n) if partition is None else partition
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
     min_residuals = []
     for start in range(0, trials, chunk):

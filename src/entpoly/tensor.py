@@ -43,6 +43,16 @@ def _whole(value, what: str) -> int:
     return k
 
 
+def _real(value, what: str) -> float:
+    """A real parameter as a float; strings, bools and complex values are rejected, not converted."""
+    if not isinstance(value, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"expected a real {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimensionProfile:
     """Ordered local dimensions (d1, ..., dn) of an n-partite system."""
@@ -252,7 +262,7 @@ def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
     """Schatten p-norm (p-norm of the singular values); p = inf is the largest one."""
-    p = float(p)
+    p = _real(p, "Schatten p")
     if not p >= 1.0:  # also rejects NaN
         raise InputError(f"Schatten norm needs p >= 1, got {p}")
     M = np.asarray(M, dtype=complex)

@@ -66,9 +66,9 @@ class TestMeasureKind:
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
 
-    @pytest.mark.parametrize("bad", ["x", 1j, [2]])
+    @pytest.mark.parametrize("bad", ["x", 1j, [2], "3", True, np.True_])
     def test_q_that_is_not_a_real_number_rejected(self, bad):
-        # float() alone raises a bare ValueError or TypeError on these
+        # float() raises a bare ValueError or TypeError on some of these and converts the rest
         with pytest.raises(ep.InputError, match="real q"):
             ep.MeasureKind("qconcurrence", bad)
 

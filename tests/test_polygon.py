@@ -296,6 +296,29 @@ class TestAudit:
     def test_bad_sampler(self):
         with pytest.raises(ep.InputError):
             ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, 5, seed=1, sampler="ppt")
+        with pytest.raises(ep.InputError, match="unknown sampler"):
+            ep.sample_state(ep.DimensionProfile((2, 2)), ["haar"], 1, 0)
+
+    @pytest.mark.parametrize("sampler, dims", [("purification", (2, 2, 2)), ("gw", (2, 3))])
+    def test_sampler_profile_rules(self, sampler, dims):
+        # purification takes [da, db] or [da, db, da*db]; gw needs equal local dimensions
+        prof = ep.DimensionProfile(dims)
+        with pytest.raises(ep.InputError, match=f"{sampler} sampler needs"):
+            ep.sample_state(prof, sampler, 1, 0)
+        with pytest.raises(ep.InputError, match=f"{sampler} sampler needs"):
+            ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler=sampler)
+
+    @pytest.mark.parametrize("sampler, dims, text, covered, expected", [
+        ("haar", (2, 2), "1|2|3", 3, 2),
+        ("purification", (3, 3), "1|2", 2, 3),  # the purifier is a third party
+    ])
+    def test_partition_must_cover_the_sampled_state(self, sampler, dims, text, covered, expected):
+        prof, part = ep.DimensionProfile(dims), ep.Partition.parse(text)
+        message = f"partition covers {covered} parties, expected {expected}"
+        with pytest.raises(ep.InputError, match=message):
+            ep.audit_random(prof, part, ep.NEGATIVITY, 1.0, 5, seed=1, sampler=sampler)
+        with pytest.raises(ep.InputError, match=message):
+            ep.audit_trial_report(prof, part, ep.NEGATIVITY, 1.0, 1, 0, sampler=sampler)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
     def test_bad_tolerance_rejected(self, bad):
@@ -359,3 +382,34 @@ class TestEpiReport:
         psi = ep.named_state("example2")
         with pytest.raises(ep.InputError, match="tolerance"):
             ep.epi_report(psi, ep.Partition.singletons(3), ep.NEGATIVITY, 1.0, tolerance=bad)
+
+
+# Every real-valued parameter goes through tensor._real: float() alone would
+# convert "0.5" and True, and a numpy complex with only a warning.
+REAL_PARAMETERS = {
+    "qconcurrence q": ep.q_concurrence_kind,
+    "alpha": lambda v: ep.epi_residuals([0.5, 0.25], v, allow_unproven=True),
+    "tolerance": lambda v: ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, 2, 1, tolerance=v),
+    "indicator alpha": lambda v: ep.indicator_delta(ep.named_state("w(3)"), v),
+    "alpha grid entry": lambda v: ep.alpha_sweep([0.5, 0.25], [v], allow_unproven=True),
+    "Schatten p": lambda v: ep.schatten_norm(np.diag([3.0, 4.0]), v),
+}
+
+
+def _outcome(entry, value):
+    try:
+        return repr(entry(value))
+    except ep.InputError as exc:  # a range check: the same for a value and its float
+        return f"InputError: {exc}"
+
+
+@pytest.mark.parametrize("entry", REAL_PARAMETERS.values(), ids=list(REAL_PARAMETERS))
+class TestRealParameters:
+    @pytest.mark.parametrize("bad", ["0.5", b"1", True, np.True_, None, 1j, np.complex128(1)], ids=repr)
+    def test_non_real_rejected(self, entry, bad):
+        with pytest.raises(ep.InputError, match="expected a real"):
+            entry(bad)
+
+    @pytest.mark.parametrize("good", [2, np.int64(2), np.float64(0.5)], ids=repr)
+    def test_real_acts_as_its_float(self, entry, good):
+        assert _outcome(entry, good) == _outcome(entry, float(good))
