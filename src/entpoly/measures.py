@@ -3,8 +3,11 @@
 Every measure here is evaluated across a cut: a 1-based block of subsystems
 against its complement.  `SPECTRUM_MEASURES` maps each pure-state measure to a
 function of the cut's Schmidt spectrum (or a (T, d) stack of spectra), and
-`measure_value(psi, block, kind)` evaluates any of them on one cut; the
-trace-norm negativity never uses one and also accepts density operators.
+`measure_value(psi, block, kind)` evaluates any of them on one cut.  The
+trace-norm negativity never uses one and also accepts density operators; a
+sparse ket's trace norm is taken exactly on the block of the partial
+transpose that its support touches, while densities and kets with nothing to
+drop take the dense `partial_transpose`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOp, InputError, Ket, _real, partial_transpose, reduced_spectrum
+from .tensor import DensityOp, InputError, Ket, _real, cut_matrices, partial_transpose, reduced_spectrum
 
 # Eigenvalues of the Wootters spin-flip product are real and non-negative up
 # to roundoff; anything beyond these tolerances signals a logic error.
@@ -55,7 +58,7 @@ class MeasureKind:
     q: float | None = None
 
     def __post_init__(self):
-        if self.name not in SPECTRUM_MEASURES:
+        if not isinstance(self.name, str) or self.name not in SPECTRUM_MEASURES:  # a list would not hash
             raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
         if self.name == "qconcurrence":
             q = 2.0 if self.q is None else _real(self.q, "q")
@@ -92,9 +95,32 @@ def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
     return float(kind.of_spectra(reduced_spectrum(psi, block)))
 
 
+def _cut_support(psi: Ket, block) -> np.ndarray:
+    """The cut matrix of psi without its all-zero rows and columns (exact zeros, no tolerance)."""
+    M = cut_matrices(psi.profile, psi.amplitudes, block)[0]
+    nonzero = M != 0
+    return M[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
+
+
 def negativity(state: Ket | DensityOp, block) -> float:
-    """(trace norm of the partial transpose - 1) / 2 across a proper cut, for kets or densities."""
-    pt = partial_transpose(state, state.profile.block_indices(block, allow_full=False))
+    """(trace norm of the partial transpose - 1) / 2 across a proper cut, for kets or densities.
+
+    For a ket with cut matrix M, entry ((a, b), (a', b')) of the partial
+    transpose is M[a', b] * conj(M[a, b']): zero unless a, a' label nonzero rows
+    of M and b, b' nonzero columns.  So a sparse ket is evaluated exactly on the
+    block its support touches; a density, or a ket with nothing to drop, takes
+    the dense `partial_transpose`.
+    """
+    idx = state.profile.block_indices(block, allow_full=False)
+    support = _cut_support(state, idx) if isinstance(state, Ket) else None
+    if support is None or support.size == state.profile.total_dim:
+        pt = partial_transpose(state, idx)
+    elif min(support.shape) == 1:
+        return 0.0  # one label on one side is a product across the cut: its pt is PSD of trace 1
+    else:
+        a, b = support.shape
+        v = support.ravel()
+        pt = np.outer(v, v.conj()).reshape(a, b, a, b).transpose(2, 1, 0, 3).reshape(a * b, a * b)
     # eigvalsh reads only the lower triangle and the real part of the diagonal, so
     # pt needs no symmetrized copy: a ket's outer product is Hermitian to roundoff.
     tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))

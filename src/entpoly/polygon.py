@@ -141,6 +141,7 @@ def power_inequality_holds(a: float, b: float, c: float, alpha: float) -> bool:
     Exposed so the inequality can be exercised directly; a 1e-12 additive
     guard absorbs roundoff at the equality boundary.
     """
+    a, b, c = (_real(v, f"side {name}") for name, v in (("a", a), ("b", b), ("c", c)))
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not 0.0 < v <= 1.0:
             raise InputError(f"{name} must lie in (0, 1], got {v}")

@@ -235,22 +235,32 @@ def partial_transpose(state: Ket | DensityOp, block: Iterable[int]) -> np.ndarra
     return mat.reshape(*dims, *dims).transpose(perm).reshape(D, D)
 
 
-def reduced_spectra(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
-    """Squared Schmidt coefficients of a (T, D) stack of kets across one cut, shape (T, d_block).
+def cut_matrices(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
+    """A (T, D) stack of kets as (T, d_block, d_rest) amplitude matrices across a proper cut.
 
-    One stacked SVD of the (T, d_block, d_rest) amplitude tensor; each row is
-    descending and zero-padded to the block dimension, so it equals the
-    eigenvalue list of that ket's reduced density operator on the block.
-    Row t is bit-identical to the T = 1 call on ket t alone.
+    Entry [t, a, b] is ket t's amplitude on block label a and complement label b,
+    each row-major over its subsystems in increasing order.  A reshape and an
+    axis transpose only, so every value keeps its bits.
     """
     idx = profile.block_indices(block, allow_full=False)
     block0 = [i - 1 for i in idx]
     rest0 = [i for i in range(profile.n) if i not in block0]
     d_block = math.prod(profile.dims[i] for i in block0)
     stack = np.reshape(amplitudes, (-1, *profile.dims))
-    M = stack.transpose([0] + [i + 1 for i in block0 + rest0]).reshape(len(stack), d_block, -1)
+    return stack.transpose([0] + [i + 1 for i in block0 + rest0]).reshape(len(stack), d_block, -1)
+
+
+def reduced_spectra(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
+    """Squared Schmidt coefficients of a (T, D) stack of kets across one cut, shape (T, d_block).
+
+    One stacked SVD of the `cut_matrices`; each row is descending and
+    zero-padded to the block dimension, so it equals the eigenvalue list of
+    that ket's reduced density operator on the block.  Row t is bit-identical
+    to the T = 1 call on ket t alone.
+    """
+    M = cut_matrices(profile, amplitudes, block)
     s = np.linalg.svd(M, compute_uv=False)
-    lam = np.zeros((len(stack), d_block))
+    lam = np.zeros(M.shape[:2])
     lam[:, : s.shape[-1]] = s**2
     return lam
 

@@ -66,6 +66,20 @@ def brute_reduced_spectrum(psi_vec, dims, keep0):
     return np.sort(np.linalg.eigvalsh(red))[::-1]
 
 
+def dense_negativity(psi_vec, dims, block0):
+    """Trace-norm negativity of a pure state from eigvalsh of its dense D x D partial transpose.
+
+    `block0` holds the 0-based subsystems that are transposed.
+    """
+    n, D = len(dims), len(psi_vec)
+    perm = list(range(2 * n))
+    for i in block0:
+        perm[i], perm[n + i] = perm[n + i], perm[i]
+    pt = np.outer(psi_vec, psi_vec.conj()).reshape(*dims, *dims).transpose(perm).reshape(D, D)
+    tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
+    return max(0.0, (tn - 1.0) / 2.0)
+
+
 def haar_unitary(d, rng):
     """Haar-distributed unitary via the QR trick."""
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -1,6 +1,7 @@
 """Pure-state measures, the Wootters formula, and their cross-identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import entpoly as ep
 from entpoly.measures import PURITY_DEFICIT_FLOOR
 from entpoly.tensor import reduced_spectra
-from helpers import apply_local_unitaries, haar_unitary, random_unit_vector
+from helpers import apply_local_unitaries, dense_negativity, haar_unitary, random_unit_vector
 
 
 def maximally_entangled(d):
@@ -65,6 +66,11 @@ class TestMeasureKind:
             ep.MeasureKind("gem", 3)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
+
+    @pytest.mark.parametrize("bad", [["gem"], {"gem": 1}, None, 3])
+    def test_name_that_is_not_a_string_rejected(self, bad):
+        with pytest.raises(ep.InputError, match="unknown measure"):
+            ep.MeasureKind(bad)
 
     @pytest.mark.parametrize("bad", ["x", 1j, [2], "3", True, np.True_])
     def test_q_that_is_not_a_real_number_rejected(self, bad):
@@ -126,6 +132,87 @@ class TestNegativity:
         assert abs(ep.negativity(rho, (1,)) - 0.5) < 1e-12
         mixed = ep.DensityOp(ep.DimensionProfile((2, 2)), np.eye(4) / 4)
         assert ep.negativity(mixed, (1,)) < 1e-12
+
+
+def dense_reference(psi, block):
+    return dense_negativity(psi.amplitudes, psi.profile.dims, [i - 1 for i in block])
+
+
+def gw_ket(n, d, seed):
+    rng = np.random.default_rng([n, d, seed])
+    return ep.gw_state(ep.gw_spec(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))))
+
+
+class TestSupportCompressedNegativity:
+    """A ket's trace norm runs on the block its support touches; full support stays dense."""
+
+    @pytest.mark.parametrize(
+        "dims, block",
+        [
+            ((2, 2, 2), (1,)),
+            ((2, 2, 2), (2,)),
+            ((2, 2, 2), (1, 3)),
+            ((3, 3, 3), (3,)),
+            ((3, 3, 3), (1, 2)),
+            ((2,) * 7, (2, 5, 7)),
+            ((2,) * 10, (3, 4, 9)),
+            ((4,) * 5, (1,)),
+        ],
+    )
+    def test_full_support_is_bit_identical_to_the_dense_path(self, dims, block):
+        psi = ep.haar_random_ket(ep.DimensionProfile(dims), 17)
+        assert np.all(psi.amplitudes != 0)
+        assert ep.negativity(psi, block) == dense_reference(psi, block)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gw_kets_match_the_dense_path(self, n, d):
+        psi = gw_ket(n, d, 0)
+        for block in [(1,), (n,), (2, n)]:
+            assert abs(ep.negativity(psi, block) - dense_reference(psi, block)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "name", ["example1", "example2", "example3", "bell", "ghz(3)", "ghz(5)", "w(3)", "w(5)"]
+    )
+    def test_gallery_kets_match_the_dense_path(self, name):
+        psi = ep.named_state(name)
+        for i in range(1, psi.profile.n):
+            for block in [(i,), tuple(range(1, i + 1))]:
+                assert abs(ep.negativity(psi, block) - dense_reference(psi, block)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "dims, label", [((2, 3), (1, 2)), ((3, 3, 3), (0, 2, 1)), ((2,) * 6, (1, 0, 1, 1, 0, 0))]
+    )
+    def test_basis_kets_have_zero_negativity(self, dims, label):
+        psi = ep.basis_ket(ep.DimensionProfile(dims), label)
+        for block in [(1,), (len(dims),)]:
+            assert ep.negativity(psi, block) == 0.0 == dense_reference(psi, block)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 2, 3, 2)])
+    @pytest.mark.parametrize("basis_side", ["block", "rest"])
+    def test_product_across_the_cut_is_exactly_zero(self, dims, basis_side):
+        # one side's factor is a basis state, the other a generic full-support vector
+        rng = np.random.default_rng(len(dims))
+        block = (1,)
+        d_block, d_rest = dims[0], math.prod(dims[1:])
+        basis = np.zeros(d_block if basis_side == "block" else d_rest, dtype=complex)
+        basis[-1] = 1.0
+        generic = random_unit_vector(d_rest if basis_side == "block" else d_block, rng)
+        amp = np.kron(basis, generic) if basis_side == "block" else np.kron(generic, basis)
+        psi = ep.Ket(ep.DimensionProfile(dims), amp)
+        assert ep.negativity(psi, block) == 0.0
+        assert ep.negativity(psi, psi.profile.complement(block)) == 0.0
+
+    def test_sparse_ket_never_builds_the_dense_matrix(self):
+        # the dense D x D path on this D = 1024 ket peaks at 32 MiB (two 16 MiB matrices)
+        psi = gw_ket(5, 3, 1)
+        tracemalloc.start()
+        try:
+            ep.negativity(psi, (1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 HAAR_232 = ep.haar_random_ket(ep.DimensionProfile((2, 3, 2)), 41)

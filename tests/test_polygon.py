@@ -393,6 +393,9 @@ REAL_PARAMETERS = {
     "indicator alpha": lambda v: ep.indicator_delta(ep.named_state("w(3)"), v),
     "alpha grid entry": lambda v: ep.alpha_sweep([0.5, 0.25], [v], allow_unproven=True),
     "Schatten p": lambda v: ep.schatten_norm(np.diag([3.0, 4.0]), v),
+    "power side a": lambda v: ep.power_inequality_holds(v, 0.5, 0.5, 0.5),
+    "power side b": lambda v: ep.power_inequality_holds(0.5, v, 0.5, 0.5),
+    "power side c": lambda v: ep.power_inequality_holds(0.5, 0.5, v, 0.5),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import entpoly as ep
-from helpers import apply_local_unitaries, haar_unitary, random_unit_vector
+from helpers import apply_local_unitaries, dense_negativity, haar_unitary, random_unit_vector
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 KINDS = [ep.GEM, ep.NEGATIVITY, ep.CONCURRENCE, ep.q_concurrence_kind(1.5)]
@@ -21,6 +21,17 @@ def kets(draw):
     prof = ep.DimensionProfile(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return ep.Ket(prof, random_unit_vector(prof.total_dim, rng))
+
+
+@st.composite
+def sparse_kets(draw):
+    """A random pure state on 2-4 parties of local dimension 2 or 3, on a random non-empty support."""
+    prof = ep.DimensionProfile(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = random_unit_vector(prof.total_dim, rng)
+    amp[rng.random(prof.total_dim) < draw(st.floats(0.0, 0.95))] = 0.0
+    amp[rng.integers(prof.total_dim)] = 1.0  # keep the support non-empty
+    return ep.Ket(prof, amp / np.linalg.norm(amp))
 
 
 @st.composite
@@ -94,3 +105,12 @@ def test_gw_coarse_graining_keeps_block_spectra(data):
         m = min(lam.size, mu.size)  # both are descending; past the shorter one only zeros remain
         assert_allclose(lam[:m], mu[:m], rtol=0, atol=1e-12)
         assert_allclose(np.concatenate([lam[m:], mu[m:]]), 0.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_sparse_ket_negativity_matches_the_dense_trace_norm(data):
+    psi = data.draw(sparse_kets())
+    block = data.draw(proper_blocks(psi.profile.n))
+    dense = dense_negativity(psi.amplitudes, psi.profile.dims, [i - 1 for i in block])
+    assert abs(ep.negativity(psi, block) - dense) <= 1e-14
