@@ -46,6 +46,7 @@ from .polygon import (
     AuditSummary,
     EpiReport,
     alpha_sweep,
+    audit_plan,
     audit_random,
     audit_trial_report,
     epi_report,
@@ -59,7 +60,6 @@ from .tensor import (
     HERMITIAN_TOL,
     NORM_TOL,
     PSD_TOL,
-    SPECTRUM_SUM_TOL,
     TRACE_TOL,
     DensityOp,
     DimensionProfile,

@@ -208,13 +208,13 @@ def gw_coarse_grain(spec: GWSpec, partition: Partition) -> GWSpec:
 
 
 def gw_negativity_closed(spec: GWSpec, partition: Partition) -> np.ndarray:
-    """Closed-form one-to-rest negativities of a GW state across a tripartition.
+    """Closed-form one-to-rest negativities of a GW state across 2 or more blocks.
 
-    With block weights (a, b, c) these are sqrt(a(b+c)), sqrt(b(a+c)),
-    sqrt(c(a+b)) in block order.
+    Each one-to-rest cut has Schmidt spectrum (w_j, 1 - w_j), with w_j the
+    block weight, so the values are sqrt(w_j (1 - w_j)) in block order.
     """
-    if partition.k != 3:
-        raise InputError(f"closed-form negativities need exactly 3 blocks, got {partition.k}")
+    if partition.k < 2:  # one block is no cut; `negativity` rejects it too
+        raise InputError(f"closed-form negativities need at least 2 blocks, got {partition.k}")
     w = spec.block_weights(partition)
     total = float(np.sum(w))
     return np.sqrt(np.maximum(0.0, w * (total - w)))

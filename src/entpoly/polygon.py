@@ -3,12 +3,17 @@
 For a partition {P_1, ..., P_k} and a measure E, the residual at block j is
 r_j = sum_{l != j} E(P_l)^alpha - E(P_j)^alpha; the inequality holds when
 every residual clears -VIOLATION_TOL.  One kernel measures a (T, D) stack of
-kets with one stacked SVD per block: a single state is the T = 1 case, and an
-audit stacks its (seed, trial) states, so any trial replays bit-exactly alone.
+kets with one stacked SVD per distinct block: a single state is the T = 1
+case, and an audit stacks its (seed, trial) states, so any trial replays
+bit-exactly alone.  `audit_plan` draws each trial once and shares its spectra
+across every partition, measure and alpha it audits; `audit_random` is its
+single-target case.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +34,7 @@ VIOLATION_TOL = 1e-9
 MEASURE_FLOOR = 1e-12
 
 # Audits stack trials in chunks of at most this many amplitudes (1 MiB), so
-# amplitude memory stays bounded; only one 8-byte minimum per trial is kept.
+# amplitude memory stays bounded; each target keeps only a running tally.
 AUDIT_CHUNK_ELEMS = 1 << 16
 
 
@@ -72,16 +77,25 @@ class EpiReport:
     holds: bool
 
 
-def _block_values(profile: DimensionProfile, amplitudes, partition: Partition, measure: MeasureKind):
-    """(T, k) one-to-rest values of a (T, D) stack of kets: one stacked SVD per block."""
-    partition.validate_for(profile.n)
-    spectra = (reduced_spectra(profile, amplitudes, block) for block in partition.blocks)
-    return np.stack([measure.of_spectra(lam) for lam in spectra], axis=-1)
+def _block_spectra(profile: DimensionProfile, amplitudes, partitions) -> dict:
+    """Block -> (T, d_block) spectra of a (T, D) stack of kets: one stacked SVD per distinct block."""
+    spectra = {}
+    for partition in partitions:
+        partition.validate_for(profile.n)
+        for block in partition.blocks:
+            if block not in spectra:
+                spectra[block] = reduced_spectra(profile, amplitudes, block)
+    return spectra
+
+
+def _block_values(spectra: dict, partition: Partition, measure: MeasureKind) -> np.ndarray:
+    """(T, k) one-to-rest values in block order, from `_block_spectra`."""
+    return np.stack([measure.of_spectra(spectra[block]) for block in partition.blocks], axis=-1)
 
 
 def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> np.ndarray:
     """Measure each block against its complement, in block order."""
-    return _block_values(psi.profile, psi.amplitudes, partition, measure)[0]
+    return _block_values(_block_spectra(psi.profile, psi.amplitudes, [partition]), partition, measure)[0]
 
 
 def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.ndarray:
@@ -259,6 +273,62 @@ def audit_trial_report(
     )
 
 
+def audit_plan(
+    profile: DimensionProfile,
+    partitions: Sequence[Partition | None],
+    measures: Sequence[MeasureKind],
+    alphas: Sequence[float],
+    trials: int,
+    seed: int,
+    *,
+    sampler: str = "haar",
+    tolerance: float = VIOLATION_TOL,
+    allow_unproven: bool = False,
+) -> list[AuditSummary]:
+    """Audit every (partition, measure, alpha) target on the same `trials` sampled states.
+
+    Returns one summary per target, in nested product order.  Each trial is
+    drawn once and each distinct block's spectra computed once per chunk, so
+    every summary equals the single-target audit bit for bit.  A `None`
+    partition is the singletons of the sampled state.  The worst trial is the
+    first one with the smallest minimum residual.
+    """
+    trials, seed = _whole(trials, "trial count"), _whole(seed, "seed")
+    if trials < 1:
+        raise InputError(f"need at least 1 trial, got {trials}")
+    partitions, measures, alphas = list(partitions), list(measures), list(alphas)
+    if not (partitions and measures and alphas):
+        raise InputError("an audit needs at least one partition, one measure and one alpha")
+    alphas = [_check_alpha(alpha, allow_unproven) for alpha in alphas]
+    tolerance = _check_tolerance(tolerance)
+    draws = (sample_state(profile, sampler, seed, trial) for trial in range(trials))
+    first = next(draws)
+    state_profile = first.profile
+    partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
+    targets = list(itertools.product(partitions, measures, alphas))
+    tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
+    draws = itertools.chain([first], draws)
+    chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
+    for start in range(0, trials, chunk):
+        amplitudes = np.stack([psi.amplitudes for psi in itertools.islice(draws, chunk)])
+        spectra = _block_spectra(state_profile, amplitudes, partitions)
+        mins = []  # per target, in `targets` order: each trial's minimum residual
+        for partition in partitions:
+            for measure in measures:
+                values = _block_values(spectra, partition, measure)
+                for alpha in alphas:
+                    mins.append(epi_residuals(values, alpha, allow_unproven=allow_unproven).min(axis=-1))
+        for tally, trial_mins in zip(tallies, mins):
+            tally[0] += int(np.count_nonzero(trial_mins < -tolerance))
+            worst = int(np.argmin(trial_mins))
+            if trial_mins[worst] < tally[1]:  # strict: an earlier chunk keeps its ties
+                tally[1:] = float(trial_mins[worst]), start + worst
+    return [
+        AuditSummary(profile, partition, measure, sampler, alpha, trials, seed, *tally)
+        for (partition, measure, alpha), tally in zip(targets, tallies)
+    ]
+
+
 def audit_random(
     profile: DimensionProfile,
     partition: Partition | None,
@@ -271,37 +341,8 @@ def audit_random(
     tolerance: float = VIOLATION_TOL,
     allow_unproven: bool = False,
 ) -> AuditSummary:
-    """Run `trials` independent polygon checks on randomly sampled states.
-
-    The worst trial is the first one with the smallest minimum residual.
-    """
-    trials, seed = _whole(trials, "trial count"), _whole(seed, "seed")
-    if trials < 1:
-        raise InputError(f"need at least 1 trial, got {trials}")
-    alpha = _check_alpha(alpha, allow_unproven)
-    tolerance = _check_tolerance(tolerance)
-    state_profile = sample_state(profile, sampler, seed, 0).profile  # every audit has trial 0
-    partition = Partition.singletons(state_profile.n) if partition is None else partition
-    chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
-    min_residuals = []
-    for start in range(0, trials, chunk):
-        batch = range(start, min(start + chunk, trials))
-        amplitudes = np.empty((len(batch), state_profile.total_dim), dtype=complex)
-        for row, trial in zip(amplitudes, batch):
-            row[:] = sample_state(profile, sampler, seed, trial).amplitudes
-        values = _block_values(state_profile, amplitudes, partition, measure)
-        min_residuals.append(epi_residuals(values, alpha, allow_unproven=allow_unproven).min(axis=-1))
-    min_residuals = np.concatenate(min_residuals)
-    worst_trial = int(np.argmin(min_residuals))
-    return AuditSummary(
-        profile=profile,
-        partition=partition,
-        measure=measure,
-        sampler=sampler,
-        alpha=alpha,
-        trials=trials,
-        seed=seed,
-        violations=int(np.count_nonzero(min_residuals < -tolerance)),
-        worst_residual=float(min_residuals[worst_trial]),
-        worst_trial=worst_trial,
-    )
+    """Run `trials` independent polygon checks on randomly sampled states: one `audit_plan` target."""
+    return audit_plan(
+        profile, [partition], [measure], [alpha], trials, seed,
+        sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
+    )[0]

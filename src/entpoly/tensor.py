@@ -19,7 +19,6 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10  # density eigenvalues in [-PSD_TOL, 0) are roundoff, below is a bug
-SPECTRUM_SUM_TOL = 1e-10
 
 # Largest total dimension a profile may declare: 2^24 amplitudes, a 256 MiB
 # ket.  Every state allocates at least one D-vector, so a larger profile is

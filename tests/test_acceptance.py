@@ -24,20 +24,21 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _audit_measure_sweep(kind, seed):
-    """Audit a measure over every profile, partition (2..4 blocks), alpha."""
-    total_violations = 0
-    worst = math.inf
-    audits = 0
+def _audit_measure_sweep(kinds, seed):
+    """Audit measures over every profile, partition (2..4 blocks), alpha: one plan per profile.
+
+    Returns kind -> [violations, worst residual, audits].
+    """
+    totals = {kind: [0, math.inf, 0] for kind in kinds}
     for dims in AUDIT_PROFILES:
         prof = ep.DimensionProfile(dims)
-        for part in ep.iter_partitions(prof.n, 2, 4):
-            for alpha in AUDIT_ALPHAS:
-                summary = ep.audit_random(prof, part, kind, alpha, 1000, seed=seed)
-                total_violations += summary.violations
-                worst = min(worst, summary.worst_residual)
-                audits += 1
-    return total_violations, worst, audits
+        parts = list(ep.iter_partitions(prof.n, 2, 4))
+        for summary in ep.audit_plan(prof, parts, kinds, AUDIT_ALPHAS, 1000, seed=seed):
+            total = totals[summary.measure]
+            total[0] += summary.violations
+            total[1] = min(total[1], summary.worst_residual)
+            total[2] += 1
+    return totals
 
 
 def test_criterion_1_example2_exactness():
@@ -103,7 +104,7 @@ def test_criterion_3_example1_spectra_and_sweeps():
 
 def test_criterion_4_gem_epi_audit():
     t0 = time.perf_counter()
-    violations, worst, audits = _audit_measure_sweep(ep.GEM, seed=20_240)
+    violations, worst, audits = _audit_measure_sweep([ep.GEM], seed=20_240)[ep.GEM]
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 120.0
     _report(
@@ -117,8 +118,8 @@ def test_criterion_4_gem_epi_audit():
 def test_criterion_5_concurrence_and_qconcurrence_audits():
     details = []
     ok = True
-    for kind in (ep.CONCURRENCE, ep.q_concurrence_kind(2), ep.q_concurrence_kind(3)):
-        violations, worst, audits = _audit_measure_sweep(kind, seed=20_241)
+    kinds = [ep.CONCURRENCE, ep.q_concurrence_kind(2), ep.q_concurrence_kind(3)]
+    for kind, (violations, worst, _) in _audit_measure_sweep(kinds, seed=20_241).items():
         ok = ok and violations == 0
         details.append(f"{kind.label}: {violations} violations (worst {worst:.2e})")
     _report(5, ok, "; ".join(details))

@@ -215,15 +215,45 @@ class TestGWNegativity:
             n = int(rng.integers(3, 5))  # small systems here; the big sweep is acceptance
             d = int(rng.integers(1, 3))
             spec = random_gw(rng, n, d)
-            part = random_tripartition(rng, n)
+            part = random_partition(rng, n, 3)
             closed = ep.gw_negativity_closed(spec, part)
             psi = ep.gw_state(spec)
             numeric = [ep.negativity(psi, block) for block in part.blocks]
             assert_allclose(closed, numeric, atol=1e-9)
 
-    def test_needs_three_blocks(self):
-        with pytest.raises(ep.InputError):
-            ep.gw_negativity_closed(ep.example3_gw_spec(), ep.Partition.parse("1,2|3,4"))
+    def test_any_block_count_matches_trace_norm(self):
+        # every one-to-rest cut of a GW ket has Schmidt spectrum (w_j, 1 - w_j)
+        rng = np.random.default_rng(11)
+        for k in range(2, 6):
+            for _ in range(8):
+                n = int(rng.integers(k, 6))
+                spec = random_gw(rng, n, int(rng.integers(1, 4)))
+                part = random_partition(rng, n, k)
+                psi = ep.gw_state(spec)
+                numeric = [ep.negativity(psi, block) for block in part.blocks]
+                assert_allclose(ep.gw_negativity_closed(spec, part), numeric, atol=1e-9)
+
+    def test_single_block_rejected(self):
+        with pytest.raises(ep.InputError, match="at least 2 blocks"):
+            ep.gw_negativity_closed(ep.example3_gw_spec(), ep.Partition(((1, 2, 3, 4),)))
+
+    def test_epi_holds_up_to_alpha_two(self):
+        # weights (1 - 2e, e, e) give residual 2(e(1 - e))^(al/2) - (2e(1 - 2e))^(al/2): 2e^2 at al = 2
+        eps = 1e-2
+        corner = ep.gw_spec(np.sqrt([[1 - 2 * eps], [eps], [eps]]))
+        rng = np.random.default_rng(12)
+        cases = [(corner, ep.Partition.singletons(3))]
+        for k in range(2, 6):
+            for _ in range(20):
+                n = int(rng.integers(k, 6))
+                cases.append((random_gw(rng, n, int(rng.integers(1, 4))), random_partition(rng, n, k)))
+        for spec, part in cases:
+            closed = ep.gw_negativity_closed(spec, part)
+            for alpha in np.linspace(0.05, 2.0, 40):
+                residuals = ep.epi_residuals(closed, alpha, allow_unproven=True)
+                assert residuals.min() >= -ep.VIOLATION_TOL
+        closed = ep.gw_negativity_closed(corner, ep.Partition.singletons(3))
+        assert ep.epi_residuals(closed, 2.1, allow_unproven=True).min() < -ep.VIOLATION_TOL
 
     def test_weight_triple_inequality(self):
         # sqrt(a(b+c)) <= sqrt(b(a+c)) + sqrt(c(a+b)) on random simplex triples
@@ -235,11 +265,11 @@ class TestGWNegativity:
             assert lhs <= vals[0] + vals[1] + 1e-12
 
 
-def random_tripartition(rng, n):
+def random_partition(rng, n, k):
     while True:
-        labels = rng.integers(0, 3, size=n)
-        if len(set(labels.tolist())) == 3:
-            blocks = [[], [], []]
+        labels = rng.integers(0, k, size=n)
+        if len(set(labels.tolist())) == k:
+            blocks = [[] for _ in range(k)]
             for party, lab in enumerate(labels, start=1):
                 blocks[lab].append(party)
             return ep.Partition(tuple(tuple(b) for b in blocks))

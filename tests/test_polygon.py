@@ -1,6 +1,8 @@
 """Residuals, the delta indicator, the power lemma, and randomized audits."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +362,101 @@ class TestAudit:
             psi = ep.sample_state(prof, "haar", 17, trial)
             ref = ep.haar_random_ket(prof, np.random.SeedSequence([17, trial]))
             assert np.array_equal(psi.amplitudes, ref.amplitudes)
+
+
+def _parts(*texts):
+    return [None if t is None else ep.Partition.parse(t) for t in texts]
+
+
+class TestAuditPlan:
+    @pytest.mark.parametrize(
+        "sampler, dims, partitions, measures, alphas",
+        [
+            ("haar", (2, 2, 2), _parts(None, "1,2|3", "1|2,3"), [ep.GEM, ep.CONCURRENCE], [0.5, 1.0]),
+            ("haar", (2, 3, 4), _parts("1,3|2", None), [ep.q_concurrence_kind(1.7), ep.NEGATIVITY], [0.25, 0.75]),
+            # the profile [3, 3] is learned from the first draw: the purifier is a third party
+            ("purification", (3, 3), _parts(None, "1,2|3", "1|2,3"), [ep.NEGATIVITY, ep.GEM], [0.5, 1.0]),
+            ("gw", (3, 3, 3, 3), _parts(None, "1,2|3,4", "1|2|3,4"), [ep.NEGATIVITY, ep.CONCURRENCE], [0.25, 1.0]),
+        ],
+        ids=["haar-222", "haar-234", "purification-33", "gw-3333"],
+    )
+    @pytest.mark.parametrize("chunk_trials", [1, 3, 4])
+    def test_plan_equals_single_target_audits(
+        self, monkeypatch, sampler, dims, partitions, measures, alphas, chunk_trials
+    ):
+        prof = ep.DimensionProfile(dims)
+        state_dim = ep.sample_state(prof, sampler, 0, 0).profile.total_dim
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", chunk_trials * state_dim)
+        trials = 10  # at least three chunks, the last one partial unless chunk_trials == 1
+        plan = ep.audit_plan(prof, partitions, measures, alphas, trials, 23, sampler=sampler, allow_unproven=True)
+        targets = list(itertools.product(partitions, measures, alphas))
+        assert len(plan) == len(targets)
+        for summary, (part, kind, alpha) in zip(plan, targets):
+            single = ep.audit_random(prof, part, kind, alpha, trials, 23, sampler=sampler, allow_unproven=True)
+            assert summary == single
+
+    def test_tie_across_a_chunk_boundary_keeps_the_earliest_trial(self, monkeypatch):
+        # w(3) is the worse state for both measures; trials 2 | 3 tie across the chunk boundary
+        worse, better = ep.named_state("w(3)"), ep.named_state("ghz(3)")
+        monkeypatch.setattr(
+            polygon, "sample_state", lambda profile, sampler, seed, trial: worse if trial in (2, 3, 5) else better
+        )
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 3 * worse.profile.total_dim)
+        prof = worse.profile
+        plan = ep.audit_plan(prof, [None], [ep.GEM, ep.CONCURRENCE], [0.5, 1.0], 7, 1)
+        for summary in plan:
+            assert summary.worst_trial == 2
+            report = ep.epi_report(worse, summary.partition, summary.measure, summary.alpha)
+            assert summary.worst_residual == report.min_residual
+            assert summary == ep.audit_random(prof, None, summary.measure, summary.alpha, 7, 1)
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        prof = ep.DimensionProfile((2, 2))
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 4 * prof.total_dim)
+        # warm-up: a first long run leaves about 100 KiB in numpy's internal caches, whatever the audit keeps
+        ep.audit_random(prof, None, ep.GEM, 1.0, 4000, seed=3)
+        peaks = []
+        for trials in (40, 4000):
+            tracemalloc.start()
+            try:
+                ep.audit_random(prof, None, ep.GEM, 1.0, trials, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 16 * 1024
+
+    @pytest.mark.parametrize(
+        "partitions, measures, alphas, extra",
+        [
+            ([], [ep.GEM], [0.5], {}),
+            ([None], [], [0.5], {}),
+            ([None], [ep.GEM], [], {}),
+            ([None], [ep.GEM], [0.5, float("nan")], {}),
+            ([None], [ep.GEM], [0.5, 0.0], {"allow_unproven": True}),
+            ([None], [ep.GEM], [0.5, "0.5"], {}),
+            ([None], [ep.GEM], [0.5, 1.5], {}),
+            ([None], [ep.GEM], [0.5], {"tolerance": -1.0}),
+            ([None], [ep.GEM], [0.5], {"trials": 0}),
+        ],
+    )
+    def test_bad_input_rejected_before_any_draw(self, monkeypatch, partitions, measures, alphas, extra):
+        draws = []
+        real = polygon.sample_state
+        monkeypatch.setattr(polygon, "sample_state", lambda *args: draws.append(args) or real(*args))
+        kwargs = {"trials": 5, **extra}
+        trials = kwargs.pop("trials")
+        with pytest.raises(ep.InputError):
+            ep.audit_plan(ep.DimensionProfile((2, 2)), partitions, measures, alphas, trials, 1, **kwargs)
+        assert draws == []
+
+    def test_unproven_alpha_accepted_with_opt_in(self):
+        plan = ep.audit_plan(ep.DimensionProfile((2, 2)), [None], [ep.GEM], [0.5, 1.5], 5, 1, allow_unproven=True)
+        assert [s.alpha for s in plan] == [0.5, 1.5]
+
+    def test_partition_must_cover_the_sampled_state(self):
+        prof = ep.DimensionProfile((2, 2))
+        with pytest.raises(ep.InputError, match="partition covers 3 parties, expected 2"):
+            ep.audit_plan(prof, _parts(None, "1|2|3"), [ep.GEM], [0.5], 5, 1)
 
 
 class TestEpiReport:

@@ -11,6 +11,7 @@ import entpoly as ep
 from entpoly.tensor import MAX_TOTAL_DIM, reduced_spectra, sparse_ket
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
+SPECTRUM_SUM_TOL = 1e-10
 P222 = ep.DimensionProfile((2, 2, 2))
 P333 = ep.DimensionProfile((3, 3, 3))
 
@@ -296,7 +297,7 @@ class TestReducedSpectrum:
                     a = np.pad(a, (0, width - a.size))
                     b = np.pad(b, (0, width - b.size))
                     assert_allclose(a, b, atol=1e-10)
-                    assert abs(a.sum() - 1.0) < ep.SPECTRUM_SUM_TOL
+                    assert abs(a.sum() - 1.0) < SPECTRUM_SUM_TOL
 
     def test_stacked_rows_are_single_ket_spectra(self):
         for dims in [(2, 2, 2), (2, 3, 4), (3, 3)]:
