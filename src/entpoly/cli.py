@@ -31,7 +31,7 @@ from .polygon import (
     indicator_delta,
     one_to_rest_values,
 )
-from .tensor import DimensionProfile, InputError, Ket, Partition
+from .tensor import DimensionProfile, InputError, Ket, Partition, _whole
 
 STATE_NORM_REJECT = 1e-6
 STATE_NORM_WARN = 1e-9
@@ -122,10 +122,6 @@ def load_state(source: str) -> Ket:
     return read_state_file(source)
 
 
-def _partition_str(partition: Partition) -> str:
-    return "|".join(",".join(str(i) for i in block) for block in partition.blocks)
-
-
 def _resolve_partition(text: str | None, psi: Ket) -> Partition:
     return Partition.singletons(psi.profile.n) if text is None else Partition.parse(text)
 
@@ -138,12 +134,14 @@ def _parse_dims(text: str) -> DimensionProfile:
     return DimensionProfile(dims)
 
 
-def _alpha_grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise InputError(f"need at least 1 grid step, got {steps}")
+def _alpha_grid(lo: float, hi: float, steps: int, allow_unproven: bool) -> list[float]:
+    # Both bounds before linspace: a one-step grid leaves hi unsampled, and a
+    # non-finite bound would make linspace warn and fill the grid with NaN.
+    lo = _check_alpha(lo, allow_unproven, "alpha (--alpha-min)")
+    hi = _check_alpha(hi, allow_unproven, "alpha (--alpha-max)")
     if hi < lo:
         raise InputError(f"alpha grid [{lo}, {hi}] must be ordered")
-    return [float(a) for a in np.linspace(lo, hi, steps)]
+    return [float(a) for a in np.linspace(lo, hi, _whole(steps, "grid step count", 1))]
 
 
 def _warn_unproven(payload: dict, alphas) -> None:
@@ -207,11 +205,11 @@ def cmd_measure(state, partition_text, measure, q, fmt):
     payload = {
         "command": "measure",
         "state": state,
-        "partition": _partition_str(part),
+        "partition": str(part),
         "measure": kind.label,
         "values": [float(v) for v in values],
     }
-    rows = [[",".join(map(str, b)), float(v)] for b, v in zip(part.blocks, values)]
+    rows = [[b, float(v)] for b, v in zip(str(part).split("|"), values)]
     _emit(payload, ["block", "value"], rows, fmt)
 
 
@@ -234,7 +232,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
     payload = {
         "command": "epi-check",
         "state": state,
-        "partition": _partition_str(part),
+        "partition": str(part),
         "measure": kind.label,
         "alpha": alpha,
         "values": list(report.values),
@@ -243,10 +241,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
         "holds": report.holds,
     }
     _warn_unproven(payload, [alpha])
-    rows = [
-        [",".join(map(str, b)), v, r]
-        for b, v, r in zip(part.blocks, report.values, report.residuals)
-    ]
+    rows = [[b, v, r] for b, v, r in zip(str(part).split("|"), report.values, report.residuals)]
     _emit(payload, ["block", "value", "residual"], rows, fmt)
     verdict_ok = (not report.holds) if expect_violation else report.holds
     return 0 if verdict_ok else 1
@@ -288,8 +283,7 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
         kind = MeasureKind(measure, q)
         values = one_to_rest_values(psi, part, kind)
         source = state
-    _check_alpha(alpha_max, allow_unproven)  # also when a one-step grid leaves it unsampled
-    grid = _alpha_grid(alpha_min, alpha_max, steps)
+    grid = _alpha_grid(alpha_min, alpha_max, steps, allow_unproven)
     block0 = None if block is None else block - 1
     points = alpha_sweep(values, grid, block=block0, allow_unproven=allow_unproven)
     designated = block if block is not None else int(np.argmax(values)) + 1
@@ -330,7 +324,7 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
     payload = {
         "command": "audit",
         "dims": list(profile.dims),
-        "partition": _partition_str(summary.partition),
+        "partition": str(summary.partition),
         "measure": kind.label,
         "sampler": sampler,
         "alpha": alpha,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, _whole, sparse_ket
+from .tensor import DimensionProfile, InputError, Ket, Partition, _real, _whole, sparse_ket
 
 SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
@@ -42,14 +42,12 @@ class AcinParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        ls = self.ls
-        if any(l < 0 for l in ls):
-            raise InputError(f"Acin coefficients must be non-negative, got {ls}")
-        ssum = sum(l * l for l in ls)
-        if not abs(ssum - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
+        for name in ("l0", "l1", "l2", "l3", "l4"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, math.inf, hi_open=True))
+        object.__setattr__(self, "theta", _real(self.theta, "theta", 0.0, math.pi, hi_open=True))
+        ssum = sum(l * l for l in self.ls)
+        if abs(ssum - 1.0) > SPEC_NORM_TOL:
             raise InputError(f"Acin coefficients must satisfy sum l_i^2 = 1, got {ssum}")
-        if not 0.0 <= self.theta < math.pi:
-            raise InputError(f"theta must lie in [0, pi), got {self.theta}")
 
     @property
     def ls(self) -> tuple[float, float, float, float, float]:
@@ -63,7 +61,7 @@ def acin_params(ls, theta: float = 0.0) -> AcinParams:
     if not 0.0 < nrm < math.inf:
         raise InputError("Acin coefficients must be finite and not all zero")
     ls = ls / nrm
-    return AcinParams(*ls.tolist(), theta=float(theta))
+    return AcinParams(*ls.tolist(), theta=theta)
 
 
 def acin_state(params: AcinParams) -> Ket:
@@ -121,6 +119,7 @@ def acin_is_biseparable(params: AcinParams, tol: float = BISEP_TOL) -> set[str]:
     A cut is separable exactly when its marginal determinant vanishes; for
     the A cut this covers both l0 in {0, 1} and l2 = l3 = l4 = 0.
     """
+    tol = _real(tol, "tolerance", 0.0, math.inf, hi_open=True)
     da, d0, d1 = acin_cut_determinants(params)
     cuts = set()
     if da <= tol:
@@ -148,7 +147,7 @@ class GWSpec:
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InputError("GW coefficients must form an n x d matrix")
         total = float(np.sum(np.abs(c) ** 2))
-        if not abs(total - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
+        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SPEC_NORM_TOL):
             raise InputError(f"GW coefficients must have unit square sum, got {total}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -232,7 +231,7 @@ class ProductPurificationSpec:
             vec = np.array(getattr(self, field_name), dtype=float).reshape(-1)
             if vec.size < 1 or np.any(vec < 0):
                 raise InputError(f"spectrum {field_name} must be a non-negative vector")
-            if not abs(float(vec.sum()) - 1.0) <= SPEC_NORM_TOL:  # also rejects NaN
+            if not math.isclose(vec.sum(), 1.0, rel_tol=0.0, abs_tol=SPEC_NORM_TOL):
                 raise InputError(f"spectrum {field_name} must sum to 1, got {vec.sum()}")
             vec.flags.writeable = False
             object.__setattr__(self, field_name, vec)
@@ -266,17 +265,13 @@ _W_RE = re.compile(r"^w\((\d+)\)$")
 
 def ghz_state(n: int) -> Ket:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    n = _whole(n, "qubit count")
-    if n < 2:
-        raise InputError("GHZ needs at least 2 qubits")
+    n = _whole(n, "qubit count", 2)
     return sparse_ket(DimensionProfile((2,) * n), [((0,) * n, 1.0), ((1,) * n, 1.0)])
 
 
 def w_state(n: int) -> Ket:
     """Equal superposition of the n single-excitation qubit labels."""
-    n = _whole(n, "qubit count")
-    if n < 2:
-        raise InputError("W needs at least 2 qubits")
+    n = _whole(n, "qubit count", 2)
     return sparse_ket(DimensionProfile((2,) * n), ((_excitation(n, j, 1), 1.0) for j in range(n)))
 
 

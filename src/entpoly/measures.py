@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOp, InputError, Ket, _real, cut_matrices, partial_transpose, reduced_spectrum
+from .tensor import (
+    DensityOp, InputError, Ket, _real, cut_matrices, partial_transpose, reduced_spectrum, transpose_subsystems,
+)
 
 # Eigenvalues of the Wootters spin-flip product are real and non-negative up
 # to roundoff; anything beyond these tolerances signals a logic error.
@@ -50,6 +52,11 @@ SPECTRUM_MEASURES = {
 }
 
 
+def _order(q) -> float:
+    """The q-concurrence order: a finite real q >= 1."""
+    return _real(q, "q", 1.0, np.inf, hi_open=True)
+
+
 @dataclass(frozen=True)
 class MeasureKind:
     """Selects one of the supported measures; `q` applies to qconcurrence only (default 2)."""
@@ -61,10 +68,7 @@ class MeasureKind:
         if not isinstance(self.name, str) or self.name not in SPECTRUM_MEASURES:  # a list would not hash
             raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
         if self.name == "qconcurrence":
-            q = 2.0 if self.q is None else _real(self.q, "q")
-            if not q >= 1.0:  # also rejects NaN
-                raise InputError(f"qconcurrence needs q >= 1, got {q}")
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", 2.0 if self.q is None else _order(self.q))
         elif self.q is not None:
             raise InputError(f"measure {self.name!r} takes no q parameter")
 
@@ -87,7 +91,7 @@ CONCURRENCE = MeasureKind("concurrence")
 
 
 def q_concurrence_kind(q: float) -> MeasureKind:
-    return MeasureKind("qconcurrence", _real(q, "q"))  # MeasureKind would read None as q = 2
+    return MeasureKind("qconcurrence", _order(q))  # MeasureKind would read None as q = 2
 
 
 def measure_value(psi: Ket, block, kind: MeasureKind) -> float:
@@ -108,8 +112,9 @@ def negativity(state: Ket | DensityOp, block) -> float:
     For a ket with cut matrix M, entry ((a, b), (a', b')) of the partial
     transpose is M[a', b] * conj(M[a, b']): zero unless a, a' label nonzero rows
     of M and b, b' nonzero columns.  So a sparse ket is evaluated exactly on the
-    block its support touches; a density, or a ket with nothing to drop, takes
-    the dense `partial_transpose`.
+    block its support touches, transposed by the same `transpose_subsystems`
+    as a dense partial transpose; a density, or a ket with nothing to drop,
+    takes the dense `partial_transpose`.
     """
     idx = state.profile.block_indices(block, allow_full=False)
     support = _cut_support(state, idx) if isinstance(state, Ket) else None
@@ -118,9 +123,8 @@ def negativity(state: Ket | DensityOp, block) -> float:
     elif min(support.shape) == 1:
         return 0.0  # one label on one side is a product across the cut: its pt is PSD of trace 1
     else:
-        a, b = support.shape
         v = support.ravel()
-        pt = np.outer(v, v.conj()).reshape(a, b, a, b).transpose(2, 1, 0, 3).reshape(a * b, a * b)
+        pt = transpose_subsystems(np.outer(v, v.conj()), support.shape, (1,))
     # eigvalsh reads only the lower triangle and the real part of the diagonal, so
     # pt needs no symmetrized copy: a ket's outer product is Hermitian to roundoff.
     tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))

@@ -45,23 +45,13 @@ def _powered(values: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _check_alpha(alpha: float, allow_unproven: bool) -> float:
-    alpha = _real(alpha, "alpha")
-    if not 0.0 < alpha < np.inf:
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
-    if alpha > 1.0 and not allow_unproven:
-        raise InputError(
-            f"alpha = {alpha} is outside the proven range (0, 1]; "
-            "evaluating it needs an explicit opt-in to the unproven regime"
-        )
-    return alpha
+def _check_alpha(alpha: float, allow_unproven: bool, what: str = "alpha") -> float:
+    """alpha in the proven range (0, 1]; any finite alpha > 0 with the opt-in to the unproven regime."""
+    return _real(alpha, what, 0.0, math.inf if allow_unproven else 1.0, lo_open=True, hi_open=allow_unproven)
 
 
 def _check_tolerance(tolerance: float) -> float:
-    tolerance = _real(tolerance, "tolerance")
-    if not 0.0 <= tolerance < np.inf:  # also rejects NaN, which would count no violation
-        raise InputError(f"tolerance must be finite and non-negative, got {tolerance}")
-    return tolerance
+    return _real(tolerance, "tolerance", 0.0, math.inf, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -142,9 +132,7 @@ def indicator_delta(psi: Ket, alpha: float) -> tuple[float, np.ndarray]:
     qubits delta vanishes exactly on the biseparable states.  Needs
     alpha in (0, 1), open at both ends.
     """
-    alpha = _real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"indicator needs alpha in (0, 1), got {alpha}")
+    alpha = _real(alpha, "indicator alpha", 0.0, 1.0, lo_open=True, hi_open=True)
     report = epi_report(psi, Partition.singletons(psi.profile.n), MeasureKind("gem"), alpha)
     return report.min_residual, np.array(report.residuals)
 
@@ -155,10 +143,8 @@ def power_inequality_holds(a: float, b: float, c: float, alpha: float) -> bool:
     Exposed so the inequality can be exercised directly; a 1e-12 additive
     guard absorbs roundoff at the equality boundary.
     """
-    a, b, c = (_real(v, f"side {name}") for name, v in (("a", a), ("b", b), ("c", c)))
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not 0.0 < v <= 1.0:
-            raise InputError(f"{name} must lie in (0, 1], got {v}")
+    sides = (("side a", a), ("side b", b), ("side c", c))
+    a, b, c = (_real(v, what, 0.0, 1.0, lo_open=True) for what, v in sides)
     if a + b < c:
         raise InputError(f"need a + b >= c, got {a} + {b} < {c}")
     alpha = _check_alpha(alpha, allow_unproven=False)
@@ -177,16 +163,14 @@ def alpha_sweep(
     `block` is the 0-based position in `values`; by default the largest value,
     which is the binding side of the inequality.
     """
-    grid = [_real(a, "alpha") for a in alpha_grid]
+    grid = [_check_alpha(a, allow_unproven) for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must not be empty")
     values = np.asarray(values, dtype=float)
     if values.ndim > 1:
         raise InputError(f"a sweep takes the values of one polygon, got shape {values.shape}")
     rows = [epi_residuals(values, alpha, allow_unproven=allow_unproven) for alpha in grid]
-    block = int(np.argmax(values)) if block is None else _whole(block, "designated block")
-    if not 0 <= block < len(values):
-        raise InputError(f"designated block {block} out of range")
+    block = int(np.argmax(values)) if block is None else _whole(block, "designated block", 0, len(values) - 1)
     return [(alpha, float(r[block])) for alpha, r in zip(grid, rows)]
 
 
@@ -212,10 +196,7 @@ class AuditSummary:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator, independent of execution order."""
-    seed, trial = _whole(seed, "seed"), _whole(trial, "trial")
-    if seed < 0 or trial < 0:
-        raise InputError(f"seed and trial must be non-negative, got seed {seed}, trial {trial}")
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    return np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed"), _whole(trial, "trial")]))
 
 
 def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
@@ -293,9 +274,7 @@ def audit_plan(
     partition is the singletons of the sampled state.  The worst trial is the
     first one with the smallest minimum residual.
     """
-    trials, seed = _whole(trials, "trial count"), _whole(seed, "seed")
-    if trials < 1:
-        raise InputError(f"need at least 1 trial, got {trials}")
+    trials, seed = _whole(trials, "trial count", 1), _whole(seed, "seed")
     partitions, measures, alphas = list(partitions), list(measures), list(alphas)
     if not (partitions and measures and alphas):
         raise InputError("an audit needs at least one partition, one measure and one alpha")

@@ -3,7 +3,8 @@
 Subsystems are numbered 1..n throughout the public API.  Flat amplitude
 vectors are row-major with subsystem 1 most significant, so the basis label
 |i1 i2 ... in> sits at position sum_k i_k * prod_{l>k} d_l.  All values are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  Every scalar
+parameter of the package passes `_whole` or `_real`, given its range.
 """
 
 from __future__ import annotations
@@ -31,25 +32,45 @@ class InputError(ValueError):
     """A caller violated an operation's contract (bad index set, bad parameter...)."""
 
 
-def _whole(value, what: str) -> int:
-    """An index, count or seed as an int; 2.9 is rejected rather than truncated to 2."""
-    try:
-        k = int(value)
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != value:
-        raise InputError(f"{what} must be a whole number, got {value!r}")
-    return k
+def _whole(value, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """The rule for an index, count or seed in lo..hi (unbounded above for None), as an int.
 
-
-def _real(value, what: str) -> float:
-    """A real parameter as a float; strings, bools and complex values are rejected, not converted."""
-    if not isinstance(value, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+    2.9 is rejected rather than truncated to 2, and a bool rather than read as 0 or 1.
+    """
+    k = value if type(value) is int else None  # the common case, and never a bool
+    if k is None and not isinstance(value, (bool, np.bool_)):
         try:
-            return float(value)
+            k = int(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise InputError(f"expected a real {what}, got {value!r}")
+    if k is not None and k == value:
+        if lo <= k and (hi is None or k <= hi):
+            return k
+        value = k  # out of range: name the int, the same for 2, 2.0 and np.int64(2)
+    if hi is not None:
+        rule = f"a whole number in {lo}..{hi}"
+    else:
+        rule = "a non-negative whole number" if lo == 0 else f"a whole number >= {lo}"
+    raise InputError(f"{what} must be {rule}, got {value!r}")
+
+
+def _real(value, what: str, lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = False) -> float:
+    """The rule for a real parameter in the interval from lo to hi, each end open or closed, as a float.
+
+    Strings, bools and complex values are rejected, not converted.  NaN lies in no
+    interval, and inf only in one closed at inf: [1, inf] admits it, [0, inf) not.
+    """
+    if not isinstance(value, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
+                return x
+            value = x  # out of range: name the float, the same for 2, 2.0 and np.int64(2)
+    interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise InputError(f"expected a real {what} in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +80,10 @@ class DimensionProfile:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_whole(d, "local dimension") for d in self.dims)
+        dims = tuple(_whole(d, "local dimension", 2) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise InputError("a system needs at least one subsystem")
-        if any(d < 2 for d in dims):
-            raise InputError(f"local dimensions must be >= 2, got {dims}")
         total = math.prod(dims)
         if total > MAX_TOTAL_DIM:
             raise InputError(f"total dimension {total} of {dims} exceeds MAX_TOTAL_DIM = {MAX_TOTAL_DIM}")
@@ -83,14 +102,12 @@ class DimensionProfile:
 
     def block_indices(self, block: Iterable[int], *, allow_full: bool = True) -> tuple[int, ...]:
         """Validate a 1-based index set and return it sorted (still 1-based)."""
-        raw = tuple(_whole(i, "subsystem index") for i in block)
+        raw = tuple(_whole(i, "subsystem index", 1, self.n) for i in block)
         idx = tuple(sorted(set(raw)))
         if len(idx) != len(raw):
             raise InputError(f"duplicate subsystem indices in {raw}")
         if not idx:
             raise InputError("index set must not be empty")
-        if idx[0] < 1 or idx[-1] > self.n:
-            raise InputError(f"subsystem indices must lie in 1..{self.n}, got {raw}")
         if not allow_full and len(idx) == self.n:
             raise InputError("index set must be a proper subset of the subsystems")
         return idx
@@ -163,18 +180,13 @@ def flat_index(multi: Sequence[int], profile: DimensionProfile) -> int:
         raise InputError(f"label has {len(multi)} entries, profile has {profile.n}")
     x = 0
     for k, d in zip(multi, profile.dims):
-        k = _whole(k, "label entry")
-        if not 0 <= k < d:
-            raise InputError(f"label entry {k} out of range for local dimension {d}")
-        x = x * d + k
+        x = x * d + _whole(k, "label entry", 0, d - 1)
     return x
 
 
 def multi_index(flat: int, profile: DimensionProfile) -> tuple[int, ...]:
     """Inverse of flat_index."""
-    flat = _whole(flat, "flat index")
-    if not 0 <= flat < profile.total_dim:
-        raise InputError(f"flat index {flat} out of range for dims {profile.dims}")
+    flat = _whole(flat, "flat index", 0, profile.total_dim - 1)
     out = []
     for d in reversed(profile.dims):
         out.append(flat % d)
@@ -216,22 +228,29 @@ def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     return DensityOp(sub, traced.reshape(sub.total_dim, sub.total_dim))
 
 
+def transpose_subsystems(mat: np.ndarray, dims: Sequence[int], block: Iterable[int]) -> np.ndarray:
+    """Transpose the (1-based) subsystems in `block` of a (D, D) array over local dims, unvalidated.
+
+    Pure axis reindexing, so applying it twice restores the input bit-exactly.
+    """
+    n, D = len(dims), len(mat)
+    perm = list(range(2 * n))
+    for i in block:
+        perm[i - 1], perm[n + i - 1] = n + i - 1, i - 1
+    return mat.reshape(*dims, *dims).transpose(perm).reshape(D, D)
+
+
 def partial_transpose(state: Ket | DensityOp, block: Iterable[int]) -> np.ndarray:
     """Transpose the (1-based) subsystems in `block` of a density, or of |psi><psi| for a ket.
 
-    Hermitian but maybe not PSD.  Pure axis reindexing, so applying it twice
-    restores the input bit-exactly.
+    Hermitian but maybe not PSD; `transpose_subsystems` on a validated block.
     """
-    profile = state.profile
-    dims, n, D = profile.dims, profile.n, profile.total_dim
-    perm = list(range(2 * n))
-    for i in profile.block_indices(block):
-        perm[i - 1], perm[n + i - 1] = perm[n + i - 1], perm[i - 1]
+    idx = state.profile.block_indices(block)
     if isinstance(state, Ket):
         mat = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         mat = state.matrix
-    return mat.reshape(*dims, *dims).transpose(perm).reshape(D, D)
+    return transpose_subsystems(mat, state.profile.dims, idx)
 
 
 def cut_matrices(profile: DimensionProfile, amplitudes: np.ndarray, block: Iterable[int]) -> np.ndarray:
@@ -271,9 +290,7 @@ def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
     """Schatten p-norm (p-norm of the singular values); p = inf is the largest one."""
-    p = _real(p, "Schatten p")
-    if not p >= 1.0:  # also rejects NaN
-        raise InputError(f"Schatten norm needs p >= 1, got {p}")
+    p = _real(p, "Schatten p", 1.0, math.inf)
     M = np.asarray(M, dtype=complex)
     if not np.isfinite(M).all():
         raise InputError("Schatten norm needs a finite matrix")
@@ -293,9 +310,7 @@ def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
 def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:
     """Reduced state of a Haar-random purification with the requested rank."""
     D = profile.total_dim
-    rank = _whole(rank, "rank")
-    if not 1 <= rank <= D:
-        raise InputError(f"rank must lie in 1..{D}, got {rank}")
+    rank = _whole(rank, "rank", 1, D)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
     mat = G @ G.conj().T
@@ -310,7 +325,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(_whole(i, "subsystem index") for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(_whole(i, "subsystem index", 1) for i in b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise InputError("partition blocks must be non-empty")
@@ -330,7 +345,11 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(1, _whole(n, "party count") + 1)))
+        return cls(tuple((i,) for i in range(1, _whole(n, "party count", 1) + 1)))
+
+    def __str__(self) -> str:
+        """The "1|2,3|4" text that `parse` reads."""
+        return "|".join(",".join(map(str, b)) for b in self.blocks)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -351,7 +370,7 @@ class Partition:
 
 def iter_partitions(n: int, min_blocks: int = 1, max_blocks: int | None = None) -> Iterator[Partition]:
     """All set partitions of 1..n with a block count in [min_blocks, max_blocks]."""
-    n, min_blocks = _whole(n, "party count"), _whole(min_blocks, "block count")
+    n, min_blocks = _whole(n, "party count", 1), _whole(min_blocks, "block count")
     max_blocks = n if max_blocks is None else _whole(max_blocks, "block count")
 
     def grow(i: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:

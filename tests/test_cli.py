@@ -52,6 +52,13 @@ class TestMeasureCommand:
         assert res.exit_code == 2
         assert "MAX_TOTAL_DIM" in res.stderr
 
+    @pytest.mark.parametrize("command", [["measure", "--state", "gallery:bell"], ["audit", "--dims", "2,2"]])
+    def test_infinite_q_exits_2(self, runner, command):
+        # printed "qconcurrence(q=inf)" with the values [1, 1] and exited 0
+        res = run(runner, *command, "--measure", "qconcurrence", "--q", "inf")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_csv_format(self, runner):
         res = run(runner, "measure", "--state", "gallery:example2",
                   "--partition", "1|2,3", "--measure", "negativity", "--format", "csv")
@@ -156,6 +163,14 @@ class TestSweepCommand:
         for bad in ("nan", "inf"):
             res = run(runner, *base, "--alpha-max", bad, "--allow-unproven-alpha")
             assert res.exit_code == 2, bad
+
+    @pytest.mark.parametrize("bad", ["-inf", "nan"])
+    def test_non_finite_alpha_min_exits_2(self, runner, bad):
+        # -inf made linspace warn (exit 3 under error::RuntimeWarning) and the error named a NaN grid point
+        res = run(runner, "sweep", "--values", "0.5,0.5", "--alpha-min", bad)
+        assert res.exit_code == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error:") and "--alpha-min" in line and line.endswith(f"got {bad}")
 
     def test_csv(self, runner):
         res = run(runner, "sweep", "--values", "0.5,0.5",

@@ -493,6 +493,10 @@ REAL_PARAMETERS = {
     "power side a": lambda v: ep.power_inequality_holds(v, 0.5, 0.5, 0.5),
     "power side b": lambda v: ep.power_inequality_holds(0.5, v, 0.5, 0.5),
     "power side c": lambda v: ep.power_inequality_holds(0.5, 0.5, v, 0.5),
+    "Acin l0": lambda v: ep.AcinParams(v, 0, 0, 0, 0),
+    "Acin theta": lambda v: ep.AcinParams(1, 0, 0, 0, 0, theta=v),
+    "acin_params theta": lambda v: ep.acin_params([1, 1, 1, 1, 1], v),
+    "biseparability tolerance": lambda v: ep.acin_is_biseparable(ep.acin_params([1, 0, 1, 0, 0]), v),
 }
 
 
@@ -513,3 +517,38 @@ class TestRealParameters:
     @pytest.mark.parametrize("good", [2, np.int64(2), np.float64(0.5)], ids=repr)
     def test_real_acts_as_its_float(self, entry, good):
         assert _outcome(entry, good) == _outcome(entry, float(good))
+
+    # q = inf printed "qconcurrence(q=inf)"; a NaN tolerance called no cut biseparable
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_rejected(self, entry, bad):
+        if entry is REAL_PARAMETERS["Schatten p"] and bad == math.inf:
+            assert entry(bad) == 4.0  # p = inf alone is in range: the largest singular value
+        else:
+            with pytest.raises(ep.InputError, match="expected a real"):
+                entry(bad)
+
+
+# Every whole-number parameter goes through tensor._whole: int() alone would
+# read True as 1, so an audit of True trials ran one.
+P22 = ep.DimensionProfile((2, 2))
+WHOLE_PARAMETERS = {
+    "seed": lambda v: ep.sample_state(P22, "haar", v, 0),
+    "trial": lambda v: ep.sample_state(P22, "haar", 0, v),
+    "trial count": lambda v: ep.audit_random(P22, None, ep.GEM, 1.0, v, 0),
+    "rank": lambda v: ep.random_density(P22, v, seed=0),
+    "party count": ep.Partition.singletons,
+    "GHZ qubit count": ep.ghz_state,
+    "W qubit count": ep.w_state,
+    "designated block": lambda v: ep.alpha_sweep([0.5, 0.25], [0.5], block=v),
+    "flat index": lambda v: ep.multi_index(v, P22),
+    "label entry": lambda v: ep.flat_index((v, 0), P22),
+    "local dimension": lambda v: ep.DimensionProfile((v, 2)),
+    "subsystem index": lambda v: P22.block_indices((v,)),
+}
+
+
+@pytest.mark.parametrize("entry", WHOLE_PARAMETERS.values(), ids=list(WHOLE_PARAMETERS))
+@pytest.mark.parametrize("bad", [True, np.True_, False], ids=repr)
+def test_bool_is_not_a_whole_number(entry, bad):
+    with pytest.raises(ep.InputError, match="whole number"):
+        entry(bad)

@@ -468,6 +468,11 @@ class TestPartition:
         assert len(list(ep.iter_partitions(4, 2, 4))) == 14
         assert len(list(ep.iter_partitions(4, 1, 4))) == 15  # Bell number B(4)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_str_round_trips_through_parse(self, n):
+        for part in ep.iter_partitions(n):
+            assert ep.Partition.parse(str(part)) == part
+
     def test_iter_partitions_are_valid_and_unique(self):
         parts = list(ep.iter_partitions(4, 2, 4))
         seen = {tuple(sorted(p.blocks)) for p in parts}
