@@ -38,7 +38,7 @@ STATE_NORM_WARN = 1e-9
 
 
 def _format_number(x, digits: int) -> str:
-    if isinstance(x, bool) or isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), f".{digits}g")
 
@@ -47,9 +47,7 @@ def json_dumps(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (int, float, np.integer, np.floating)):
         return _format_number(obj, 17)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -122,8 +120,11 @@ def load_state(source: str) -> Ket:
     return read_state_file(source)
 
 
-def _resolve_partition(text: str | None, psi: Ket) -> Partition:
-    return Partition.singletons(psi.profile.n) if text is None else Partition.parse(text)
+def _resolve(state: str, partition_text: str | None, measure: str, q) -> tuple[Ket, Partition, MeasureKind]:
+    """The state, partition (default: singletons) and measure that a state command names."""
+    psi = load_state(state)
+    part = Partition.singletons(psi.profile.n) if partition_text is None else Partition.parse(partition_text)
+    return psi, part, MeasureKind(measure, q)
 
 
 def _parse_dims(text: str) -> DimensionProfile:
@@ -152,6 +153,10 @@ def _warn_unproven(payload: dict, alphas) -> None:
 
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
+)
+_state_option = click.option("--state", required=True, help="gallery:<name> or a state-file path")
+_partition_option = click.option(
+    "--partition", "partition_text", default=None, help='e.g. "1|2,3|4" (default singletons)'
 )
 _measure_option = click.option("--measure", type=click.Choice(list(SPECTRUM_MEASURES)), required=True)
 _q_option = click.option("--q", type=float, default=None, help="q for qconcurrence (default 2)")
@@ -191,16 +196,14 @@ def main():
 
 
 @main.command("measure")
-@click.option("--state", required=True, help="gallery:<name> or a state-file path")
-@click.option("--partition", "partition_text", default=None, help='e.g. "1|2,3|4" (default singletons)')
+@_state_option
+@_partition_option
 @_measure_option
 @_q_option
 @_format_option
 def cmd_measure(state, partition_text, measure, q, fmt):
     """One-to-rest measure values for each partition block."""
-    psi = load_state(state)
-    part = _resolve_partition(partition_text, psi)
-    kind = MeasureKind(measure, q)
+    psi, part, kind = _resolve(state, partition_text, measure, q)
     values = one_to_rest_values(psi, part, kind)
     payload = {
         "command": "measure",
@@ -214,8 +217,8 @@ def cmd_measure(state, partition_text, measure, q, fmt):
 
 
 @main.command("epi-check")
-@click.option("--state", required=True)
-@click.option("--partition", "partition_text", default=None)
+@_state_option
+@_partition_option
 @_measure_option
 @_q_option
 @click.option("--alpha", type=float, default=1.0, show_default=True)
@@ -225,9 +228,7 @@ def cmd_measure(state, partition_text, measure, q, fmt):
 @_format_option
 def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_violation, allow_unproven, fmt):
     """Check the polygon inequality; exit 0 if it holds, 1 if violated."""
-    psi = load_state(state)
-    part = _resolve_partition(partition_text, psi)
-    kind = MeasureKind(measure, q)
+    psi, part, kind = _resolve(state, partition_text, measure, q)
     report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
     payload = {
         "command": "epi-check",
@@ -250,7 +251,7 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
 @main.command("sweep")
 @click.option("--state", default=None, help="state source, or gallery:example1-paper-values")
 @click.option("--values", "values_text", default=None, help="explicit comma-separated values")
-@click.option("--partition", "partition_text", default=None)
+@_partition_option
 @click.option(
     "--measure",
     type=click.Choice(list(SPECTRUM_MEASURES)),
@@ -278,29 +279,25 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
         values = np.array(EXAMPLE1_PAPER_VALUES)
         source = state
     else:
-        psi = load_state(state)
-        part = _resolve_partition(partition_text, psi)
-        kind = MeasureKind(measure, q)
-        values = one_to_rest_values(psi, part, kind)
+        values = one_to_rest_values(*_resolve(state, partition_text, measure, q))
         source = state
     grid = _alpha_grid(alpha_min, alpha_max, steps, allow_unproven)
-    block0 = None if block is None else block - 1
-    points = alpha_sweep(values, grid, block=block0, allow_unproven=allow_unproven)
-    designated = block if block is not None else int(np.argmax(values)) + 1
+    designated = int(np.argmax(values)) + 1 if block is None else _whole(block, "designated block", 1, len(values))
+    points = [[a, g] for a, g in alpha_sweep(values, grid, block=designated - 1, allow_unproven=allow_unproven)]
     payload = {
         "command": "sweep",
         "source": source,
         "values": [float(v) for v in values],
         "block": designated,
-        "points": [[a, g] for a, g in points],
+        "points": points,
     }
     _warn_unproven(payload, grid)
-    _emit(payload, ["alpha", "residual"], [[a, g] for a, g in points], fmt)
+    _emit(payload, ["alpha", "residual"], points, fmt)
 
 
 @main.command("audit")
 @click.option("--dims", required=True, help='profile, e.g. "2,2,2" (spectra dims for purification)')
-@click.option("--partition", "partition_text", default=None)
+@_partition_option
 @_measure_option
 @_q_option
 @click.option("--sampler", type=click.Choice(list(SAMPLERS)), default="haar", show_default=True)
@@ -343,7 +340,7 @@ def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, to
 
 
 @main.command("indicator")
-@click.option("--state", required=True)
+@_state_option
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @_format_option
 def cmd_indicator(state, alpha, fmt):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, _real, _whole, sparse_ket
+from .tensor import DimensionProfile, InputError, Ket, Partition, _choice, _real, _whole, sparse_ket
 
 SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
@@ -259,10 +259,6 @@ def negativity_gap_closed(spec: ProductPurificationSpec) -> float:
     return 0.5 * (1.0 - sa) * (1.0 - sb)
 
 
-_GHZ_RE = re.compile(r"^ghz\((\d+)\)$")
-_W_RE = re.compile(r"^w\((\d+)\)$")
-
-
 def ghz_state(n: int) -> Ket:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     n = _whole(n, "qubit count", 2)
@@ -301,21 +297,19 @@ def example3_gw_spec() -> GWSpec:
     return GWSpec(coeffs)
 
 
+NAMED_STATES = {
+    "example1": _example1,
+    "example2": _example2,
+    "example3": lambda: gw_state(example3_gw_spec()),
+    "bell": lambda: ghz_state(2),
+}
+_FAMILY_RE = re.compile(r"^(ghz|w)\((\d+)\)$")
+
+
 def named_state(name: str) -> Ket:
-    """Gallery lookup: example1 / example2 / example3 / bell / ghz(n) / w(n)."""
-    key = name.strip().lower()
-    if key == "example1":
-        return _example1()
-    if key == "example2":
-        return _example2()
-    if key == "example3":
-        return gw_state(example3_gw_spec())
-    if key == "bell":
-        return ghz_state(2)
-    m = _GHZ_RE.match(key)
-    if m:
-        return ghz_state(int(m.group(1)))
-    m = _W_RE.match(key)
-    if m:
-        return w_state(int(m.group(1)))
-    raise InputError(f"unknown gallery state {name!r}")
+    """Gallery lookup, trimmed and lower-cased: a `NAMED_STATES` key, ghz(n) or w(n)."""
+    key = name.strip().lower() if isinstance(name, str) else name
+    family = _FAMILY_RE.match(key) if isinstance(key, str) else None
+    if family:
+        return (ghz_state if family.group(1) == "ghz" else w_state)(int(family.group(2)))
+    return _choice(NAMED_STATES, key, "gallery state")()

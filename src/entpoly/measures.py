@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    DensityOp, InputError, Ket, _real, cut_matrices, partial_transpose, reduced_spectrum, transpose_subsystems,
+    DensityOp, InputError, Ket, _choice, _real, cut_matrices, partial_transpose, reduced_spectrum,
+    transpose_subsystems,
 )
 
 # Eigenvalues of the Wootters spin-flip product are real and non-negative up
@@ -65,8 +66,7 @@ class MeasureKind:
     q: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in SPECTRUM_MEASURES:  # a list would not hash
-            raise InputError(f"unknown measure {self.name!r}, expected one of {tuple(SPECTRUM_MEASURES)}")
+        _choice(SPECTRUM_MEASURES, self.name, "measure")
         if self.name == "qconcurrence":
             object.__setattr__(self, "q", 2.0 if self.q is None else _order(self.q))
         elif self.q is not None:

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import gallery
 from .measures import MeasureKind, measure_value  # noqa: F401  (bound here for perfbench/tracing.py)
-from .tensor import DimensionProfile, InputError, Ket, Partition, _real, _whole, haar_random_ket, reduced_spectra
+from .tensor import (
+    DimensionProfile, InputError, Ket, Partition, _choice, _real, _whole, haar_random_ket, reduced_spectra,
+)
 
 # A residual below -VIOLATION_TOL counts as a violation; measure values
 # compound several decompositions, so this sits well above the 1e-12
@@ -229,9 +231,7 @@ SAMPLERS = {
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
     """Draw the trial state for an audit; deterministic in (seed, trial)."""
-    if not isinstance(sampler, str) or sampler not in SAMPLERS:  # a list would not hash
-        raise InputError(f"unknown sampler {sampler!r}, expected one of {tuple(SAMPLERS)}")
-    return SAMPLERS[sampler](profile, trial_rng(seed, trial))
+    return _choice(SAMPLERS, sampler, "sampler")(profile, trial_rng(seed, trial))
 
 
 def audit_trial_report(

@@ -4,7 +4,8 @@ Subsystems are numbered 1..n throughout the public API.  Flat amplitude
 vectors are row-major with subsystem 1 most significant, so the basis label
 |i1 i2 ... in> sits at position sum_k i_k * prod_{l>k} d_l.  All values are
 immutable after construction and safe to share across threads.  Every scalar
-parameter of the package passes `_whole` or `_real`, given its range.
+parameter of the package passes `_whole` or `_real`, given its range, and
+every measure, sampler or gallery name passes `_choice`, given its table.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def _real(value, what: str, lo: float, hi: float, *, lo_open: bool = False, hi_o
             value = x  # out of range: name the float, the same for 2, 2.0 and np.int64(2)
     interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
     raise InputError(f"expected a real {what} in {interval}, got {value!r}")
+
+
+def _choice(table: dict, name, what: str):
+    """The rule for a name: `table[name]` for an exact string key; any other name, a list too, is unknown."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise InputError(f"unknown {what} {name!r}, expected one of {tuple(table)}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ class TestMeasureCommand:
         assert res.exit_code == 2
         assert "takes no q" in res.stderr
 
+    def test_unknown_gallery_state_exits_2(self, runner):
+        res = run(runner, "measure", "--state", "gallery:example9", "--measure", "gem")
+        assert res.exit_code == 2
+        assert "example1" in res.stderr
+
     def test_oversized_state_exits_2(self, runner):
         res = run(runner, "measure", "--state", "gallery:ghz(40)", "--measure", "gem")
         assert res.exit_code == 2
@@ -171,6 +176,19 @@ class TestSweepCommand:
         assert res.exit_code == 2
         [line] = res.stderr.splitlines()
         assert line.startswith("error:") and "--alpha-min" in line and line.endswith(f"got {bad}")
+
+    @pytest.mark.parametrize("block", ["3", "0"])
+    def test_block_out_of_range_is_named_1_based(self, runner, block):
+        # named the 0-based block: "in 0..1, got 2" for --block 3
+        res = run(runner, "sweep", "--values", "0.5,0.5", "--block", block)
+        assert res.exit_code == 2
+        assert res.stderr.rstrip().endswith(f"in 1..2, got {block}")
+
+    def test_block_is_printed_as_given(self, runner):
+        res = run(runner, "sweep", "--values", "0.5,0.25", "--block", "2", "--steps", "1")
+        payload = json.loads(res.output)
+        assert payload["block"] == 2
+        assert payload["points"] == [[0.01, ep.alpha_sweep([0.5, 0.25], [0.01], block=1)[0][1]]]
 
     def test_csv(self, runner):
         res = run(runner, "sweep", "--values", "0.5,0.5",

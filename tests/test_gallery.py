@@ -361,6 +361,11 @@ class TestNamedStates:
         with pytest.raises(ep.InputError):
             ep.named_state("example9")
 
+    def test_name_is_trimmed_and_lower_cased(self):
+        assert np.array_equal(ep.named_state(" Bell\n").amplitudes, ep.named_state("bell").amplitudes)
+        assert np.array_equal(ep.named_state("GHZ(3) ").amplitudes, ep.ghz_state(3).amplitudes)
+        assert np.array_equal(ep.named_state("W(4)").amplitudes, ep.w_state(4).amplitudes)
+
     @pytest.mark.parametrize("build", [ep.ghz_state, ep.w_state])
     def test_fractional_qubit_count_rejected(self, build):
         # raised a bare TypeError from building the (2,) * n profile

@@ -552,3 +552,19 @@ WHOLE_PARAMETERS = {
 def test_bool_is_not_a_whole_number(entry, bad):
     with pytest.raises(ep.InputError, match="whole number"):
         entry(bad)
+
+
+# Every measure, sampler and gallery name goes through tensor._choice:
+# named_state(None) raised a bare AttributeError from None.strip.
+NAMED_LOOKUPS = {
+    "measure": ep.MeasureKind,
+    "sampler": lambda v: ep.sample_state(P22, v, 0, 0),
+    "gallery state": ep.named_state,
+}
+
+
+@pytest.mark.parametrize("what, entry", NAMED_LOOKUPS.items(), ids=list(NAMED_LOOKUPS))
+@pytest.mark.parametrize("bad", [["x"], {"x": 1}, None, 3], ids=repr)
+def test_name_that_is_not_a_table_key_is_unknown(what, entry, bad):
+    with pytest.raises(ep.InputError, match=f"unknown {what} "):
+        entry(bad)
