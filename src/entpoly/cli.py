@@ -31,10 +31,14 @@ from .polygon import (
     indicator_delta,
     one_to_rest_values,
 )
-from .tensor import DimensionProfile, InputError, Ket, Partition, _whole
+from .tensor import NORM_TOL, DimensionProfile, InputError, Ket, Partition, _array, _whole
 
 STATE_NORM_REJECT = 1e-6
 STATE_NORM_WARN = 1e-9
+
+# Largest `sweep --steps`: 100x the figures' 100-point grids, checked before
+# linspace allocates (a million steps took 400 MB and 21 s to print 44 MB).
+MAX_GRID_STEPS = 10_000
 
 
 def _format_number(x, digits: int) -> str:
@@ -73,7 +77,7 @@ def _emit(payload: dict, csv_header: list[str], csv_rows: list[list], fmt: str) 
 
 
 def read_state_file(path: str) -> Ket:
-    """Load a StateFile, normalizing on load; reject norms off by more than 1e-6."""
+    """Load a StateFile: reject norms off by more than 1e-6, rescale beyond NORM_TOL, keep the rest exact."""
     try:
         with open(path) as fp:
             data = json.load(fp)
@@ -85,23 +89,18 @@ def read_state_file(path: str) -> Ket:
         raise InputError(f"state file {path!r} must carry 'dims' and 'amplitudes'")
     try:  # InputError is a ValueError, so the profile's own rejections name the file too
         profile = DimensionProfile(data["dims"])
-        amp = np.array([complex(float(re), float(im)) for re, im in data["amplitudes"]])
     except (TypeError, ValueError) as exc:
-        raise InputError(
-            f"state file {path!r} needs integer dims and [re, im] amplitude pairs: {exc}"
-        ) from exc
-    if len(amp) != profile.total_dim:
-        raise InputError(
-            f"state file {path!r} has {len(amp)} amplitudes, dims need {profile.total_dim}"
-        )
-    if not np.isfinite(amp).all():
-        raise InputError(f"state file {path!r} has non-finite amplitudes")
+        raise InputError(f"state file {path!r} needs integer dims: {exc}") from exc
+    pairs = _array(data["amplitudes"], f"state file {path!r} amplitudes")
+    if pairs.shape != (profile.total_dim, 2):
+        raise InputError(f"state file {path!r} needs {profile.total_dim} [re, im] amplitude pairs, got {pairs.shape}")
+    amp = pairs.view(complex).reshape(-1)  # each C-contiguous (re, im) row is one complex, bit for bit
     nrm = float(np.linalg.norm(amp))
     if abs(nrm - 1.0) > STATE_NORM_REJECT:
         raise InputError(f"state file {path!r} norm {nrm} is too far from 1")
     if abs(nrm - 1.0) > STATE_NORM_WARN:
         click.echo(f"warning: renormalizing state {path!r} (|norm - 1| = {abs(nrm - 1.0):.3e})", err=True)
-    return Ket(profile, amp / nrm)
+    return Ket(profile, amp / nrm if abs(nrm - 1.0) > NORM_TOL else amp)
 
 
 def write_state_file(path: str, psi: Ket) -> None:
@@ -109,8 +108,8 @@ def write_state_file(path: str, psi: Ket) -> None:
         "dims": list(psi.profile.dims),
         "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
     }
-    with open(path, "w") as fp:
-        fp.write(json_dumps(payload))
+    with open(path, "w") as fp:  # repr floats, so -0.0 stays a float and keeps its sign
+        json.dump(payload, fp)
         fp.write("\n")
 
 
@@ -142,7 +141,7 @@ def _alpha_grid(lo: float, hi: float, steps: int, allow_unproven: bool) -> list[
     hi = _check_alpha(hi, allow_unproven, "alpha (--alpha-max)")
     if hi < lo:
         raise InputError(f"alpha grid [{lo}, {hi}] must be ordered")
-    return [float(a) for a in np.linspace(lo, hi, _whole(steps, "grid step count", 1))]
+    return [float(a) for a in np.linspace(lo, hi, _whole(steps, "grid step count", 1, MAX_GRID_STEPS))]
 
 
 def _warn_unproven(payload: dict, alphas) -> None:
@@ -253,10 +252,8 @@ def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_vi
 @click.option("--values", "values_text", default=None, help="explicit comma-separated values")
 @_partition_option
 @click.option(
-    "--measure",
-    type=click.Choice(list(SPECTRUM_MEASURES)),
-    default="negativity",
-    show_default=True,
+    "--measure", type=click.Choice(list(SPECTRUM_MEASURES)), default=None,
+    help="measure of a measured --state (default negativity)",
 )
 @_q_option
 @click.option("--block", type=int, default=None, help="designated block, 1-based (default: largest value)")
@@ -269,18 +266,21 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
     """Residual of the designated block across an exponent grid (figure data)."""
     if (state is None) == (values_text is None):
         raise InputError("pass exactly one of --state or --values")
-    if values_text is not None:
-        try:
-            values = np.array([float(tok) for tok in values_text.split(",")])
-        except ValueError as exc:
-            raise InputError(f"cannot parse --values {values_text!r}: {exc}") from exc
-        source = "values"
-    elif state == "gallery:example1-paper-values":
-        values = np.array(EXAMPLE1_PAPER_VALUES)
-        source = state
+    if state not in (None, "gallery:example1-paper-values"):
+        values = one_to_rest_values(*_resolve(state, partition_text, measure or "negativity", q))
     else:
-        values = one_to_rest_values(*_resolve(state, partition_text, measure, q))
-        source = state
+        options = (("--partition", partition_text), ("--measure", measure), ("--q", q))
+        given = [name for name, value in options if value is not None]
+        if given:
+            raise InputError(f"{', '.join(given)}: applies only to a measured --state, not to given values")
+        if state is None:
+            try:
+                values = np.array([float(tok) for tok in values_text.split(",")])
+            except ValueError as exc:
+                raise InputError(f"cannot parse --values {values_text!r}: {exc}") from exc
+        else:
+            values = np.array(EXAMPLE1_PAPER_VALUES)
+    source = "values" if state is None else state
     grid = _alpha_grid(alpha_min, alpha_max, steps, allow_unproven)
     designated = int(np.argmax(values)) + 1 if block is None else _whole(block, "designated block", 1, len(values))
     points = [[a, g] for a, g in alpha_sweep(values, grid, block=designated - 1, allow_unproven=allow_unproven)]

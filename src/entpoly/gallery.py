@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, _choice, _real, _whole, sparse_ket
+from .tensor import DimensionProfile, InputError, Ket, Partition, _array, _choice, _real, _whole, sparse_ket
 
 SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
@@ -56,7 +56,7 @@ class AcinParams:
 
 def acin_params(ls, theta: float = 0.0) -> AcinParams:
     """Build AcinParams from an unnormalized non-negative 5-vector."""
-    ls = np.asarray(ls, dtype=float)
+    ls = _array(ls, "Acin coefficients")
     nrm = float(np.linalg.norm(ls))
     if not 0.0 < nrm < math.inf:
         raise InputError("Acin coefficients must be finite and not all zero")
@@ -143,7 +143,7 @@ class GWSpec:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.array(self.coeffs, dtype=complex))
+        c = np.atleast_2d(_array(self.coeffs, "GW coefficients", complex))
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InputError("GW coefficients must form an n x d matrix")
         total = float(np.sum(np.abs(c) ** 2))
@@ -170,7 +170,7 @@ class GWSpec:
 
 def gw_spec(coeffs) -> GWSpec:
     """Build a GWSpec from an unnormalized coefficient matrix."""
-    c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+    c = np.atleast_2d(_array(coeffs, "GW coefficients", complex))
     nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if not 0.0 < nrm < math.inf:
         raise InputError("GW coefficients must be finite and not all zero")
@@ -228,7 +228,7 @@ class ProductPurificationSpec:
 
     def __post_init__(self):
         for field_name in ("a", "b"):
-            vec = np.array(getattr(self, field_name), dtype=float).reshape(-1)
+            vec = _array(getattr(self, field_name), f"spectrum {field_name}").reshape(-1)
             if vec.size < 1 or np.any(vec < 0):
                 raise InputError(f"spectrum {field_name} must be a non-negative vector")
             if not math.isclose(vec.sum(), 1.0, rel_tol=0.0, abs_tol=SPEC_NORM_TOL):

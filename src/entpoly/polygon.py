@@ -22,7 +22,7 @@ import numpy as np
 from . import gallery
 from .measures import MeasureKind, measure_value  # noqa: F401  (bound here for perfbench/tracing.py)
 from .tensor import (
-    DimensionProfile, InputError, Ket, Partition, _choice, _real, _whole, haar_random_ket, reduced_spectra,
+    DimensionProfile, InputError, Ket, Partition, _array, _choice, _real, _whole, haar_random_ket, reduced_spectra,
 )
 
 # A residual below -VIOLATION_TOL counts as a violation; measure values
@@ -93,11 +93,11 @@ def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> 
 def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.ndarray:
     """r_j = sum_{l != j} v_l^alpha - v_j^alpha for each block j (the last axis)."""
     alpha = _check_alpha(alpha, allow_unproven)
-    values = np.asarray(values, dtype=float)
+    values = _array(values, "measure values")
     if not values.size or values.ndim < 1 or values.shape[-1] < 2:
         raise InputError(f"a polygon needs at least 2 sides: got measure values of shape {values.shape}")
-    if not (np.isfinite(values).all() and (values >= 0).all()):
-        raise InputError("measure values must be finite and non-negative")
+    if not (values >= 0).all():
+        raise InputError("measure values must be non-negative")
     powered = _powered(values, alpha)
     return powered.sum(axis=-1, keepdims=True) - 2.0 * powered
 
@@ -168,7 +168,7 @@ def alpha_sweep(
     grid = [_check_alpha(a, allow_unproven) for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must not be empty")
-    values = np.asarray(values, dtype=float)
+    values = _array(values, "measure values")
     if values.ndim > 1:
         raise InputError(f"a sweep takes the values of one polygon, got shape {values.shape}")
     rows = [epi_residuals(values, alpha, allow_unproven=allow_unproven) for alpha in grid]

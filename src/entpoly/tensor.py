@@ -4,8 +4,9 @@ Subsystems are numbered 1..n throughout the public API.  Flat amplitude
 vectors are row-major with subsystem 1 most significant, so the basis label
 |i1 i2 ... in> sits at position sum_k i_k * prod_{l>k} d_l.  All values are
 immutable after construction and safe to share across threads.  Every scalar
-parameter of the package passes `_whole` or `_real`, given its range, and
-every measure, sampler or gallery name passes `_choice`, given its table.
+parameter of the package passes `_whole` or `_real`, given its range, every
+array parameter passes `_array`, given its number type, and every measure,
+sampler or gallery name passes `_choice`, given its table.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ def _real(value, what: str, lo: float, hi: float, *, lo_open: bool = False, hi_o
     raise InputError(f"expected a real {what} in {interval}, got {value!r}")
 
 
+def _array(values, what: str, dtype: type = float) -> np.ndarray:
+    """The rule for an array parameter: a fresh, finite array of `dtype`, float or complex.
+
+    Ragged lists, bool, string, bytes and object entries, and complex entries for
+    float are rejected, not converted; a list mixing bools with ints is promoted.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # a ragged list
+        raise InputError(f"{what} must form a rectangular array: {exc}") from exc
+    if raw.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise InputError(f"{what} must be {'real ' if dtype is float else ''}numbers, got an array of {raw.dtype}")
+    arr = np.array(raw, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite")
+    return arr
+
+
 def _choice(table: dict, name, what: str):
     """The rule for a name: `table[name]` for an exact string key; any other name, a list too, is unknown."""
     if isinstance(name, str) and name in table:
@@ -133,14 +152,12 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amp = _array(self.amplitudes, "ket amplitudes", complex).reshape(-1)
         if amp.size != self.profile.total_dim:
             raise InputError(
                 f"expected {self.profile.total_dim} amplitudes for dims "
                 f"{self.profile.dims}, got {amp.size}"
             )
-        if not np.isfinite(amp).all():
-            raise InputError("ket amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InputError(f"ket must be normalized, |norm - 1| = {abs(nrm - 1.0):.3e}")
@@ -160,12 +177,10 @@ class DensityOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _array(self.matrix, "density matrix entries", complex)
         D = self.profile.total_dim
         if mat.shape != (D, D):
             raise InputError(f"expected a {D}x{D} matrix for dims {self.profile.dims}")
-        if not np.isfinite(mat).all():
-            raise InputError("density matrix entries must be finite")
         adjoint = mat.conj().T
         herm_dev = float(np.max(np.abs(mat - adjoint)))
         if herm_dev > HERMITIAN_TOL:
@@ -299,9 +314,9 @@ def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
 def schatten_norm(M: np.ndarray, p: float) -> float:
     """Schatten p-norm (p-norm of the singular values); p = inf is the largest one."""
     p = _real(p, "Schatten p", 1.0, math.inf)
-    M = np.asarray(M, dtype=complex)
-    if not np.isfinite(M).all():
-        raise InputError("Schatten norm needs a finite matrix")
+    M = _array(M, "Schatten norm matrix entries", complex)
+    if M.ndim != 2:
+        raise InputError(f"Schatten norm needs a matrix, got shape {M.shape}")
     s = np.linalg.svd(M, compute_uv=False)
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import entpoly as ep
-from entpoly.cli import json_dumps, main, read_state_file, write_state_file
+from entpoly.cli import MAX_GRID_STEPS, json_dumps, main, read_state_file, write_state_file
 
 
 @pytest.fixture
@@ -161,6 +161,31 @@ class TestSweepCommand:
         assert res.exit_code == 2
         assert "at least 2 sides" in res.stderr
 
+    @pytest.mark.parametrize("args, options", [
+        (["--values", "0.5,0.5", "--partition", "1|2|3", "--q", "7"], "--partition, --q"),
+        (["--state", "gallery:example1-paper-values", "--partition", "1|1"], "--partition"),
+        (["--values", "0.5,0.5", "--measure", "gem"], "--measure"),
+    ])
+    def test_measure_options_need_a_measured_state(self, runner, args, options):
+        # each option was ignored and the sweep exited 0
+        res = run(runner, "sweep", *args, "--steps", "1")
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {options}: ")
+
+    def test_measured_state_defaults_to_negativity(self, runner):
+        base = ["sweep", "--state", "gallery:example3", "--partition", "1|2,3|4", "--steps", "3"]
+        res = run(runner, *base)
+        assert res.exit_code == 0
+        assert res.stdout == run(runner, *base, "--measure", "negativity").stdout
+
+    def test_step_count_is_bounded(self, runner):
+        # a million steps took 400 MB and 21 s to print 44 MB
+        base = ["sweep", "--values", "0.5,0.5", "--format", "csv", "--steps"]
+        assert run(runner, *base, str(MAX_GRID_STEPS)).exit_code == 0
+        res = run(runner, *base, str(MAX_GRID_STEPS + 1))
+        assert res.exit_code == 2
+        assert f"grid step count must be a whole number in 1..{MAX_GRID_STEPS}" in res.stderr
+
     def test_alpha_max_needs_flag_on_one_step_grid(self, runner):
         base = ["sweep", "--values", "0.5,0.5", "--alpha-min", "0.5", "--steps", "1"]
         assert run(runner, *base, "--alpha-max", "2").exit_code == 2
@@ -296,6 +321,24 @@ class TestStateFiles:
                 a = ep.measure_value(psi, block, kind)
                 b = ep.measure_value(back, block, kind)
                 assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3), (2, 2, 2, 2), (2,)])
+    def test_round_trip_is_exact(self, tmp_path, dims):
+        # a norm a few ulps off 1 was rescaled on load, and -0.0 was written as the integer -0
+        if dims == (2,):
+            kets = [ep.Ket(ep.DimensionProfile(dims), [complex(-0.0, 0.6), complex(0.8, -0.0)])]
+        else:
+            kets = [ep.haar_random_ket(ep.DimensionProfile(dims), seed) for seed in range(8)]
+        path = tmp_path / "state.json"
+
+        def hexes(ket):
+            return [(a.real.hex(), a.imag.hex()) for a in ket.amplitudes.tolist()]
+
+        for psi in kets:
+            write_state_file(str(path), psi)
+            back = read_state_file(str(path))
+            assert back.profile.dims == psi.profile.dims
+            assert hexes(back) == hexes(psi)
 
     def test_mild_normalization_warns(self, tmp_path, capsys):
         psi = ep.named_state("bell")

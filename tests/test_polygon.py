@@ -1,15 +1,20 @@
 """Residuals, the delta indicator, the power lemma, and randomized audits."""
 
 import itertools
+import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import entpoly as ep
 from entpoly import polygon
+from entpoly.cli import main
 from helpers import random_unit_vector
 
 
@@ -568,3 +573,67 @@ NAMED_LOOKUPS = {
 def test_name_that_is_not_a_table_key_is_unknown(what, entry, bad):
     with pytest.raises(ep.InputError, match=f"unknown {what} "):
         entry(bad)
+
+
+def _state_file_amplitudes(v):
+    """`entpoly measure` on a state file with amplitude pairs [v, v]; exit 2 naming the file raises InputError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "state.json")
+        Path(path).write_text(json.dumps({"dims": [2], "amplitudes": [v, v]}))
+        res = CliRunner().invoke(main, ["measure", "--state", path, "--measure", "gem"])
+    if res.exit_code == 2 and path in res.stderr:
+        raise ep.InputError(res.stderr)
+    return res
+
+
+# Every array parameter goes through tensor._array: np.asarray(x, dtype) alone
+# parsed ["1", "0"] as numbers and read [True, False] as 1 and 0.  Each entry
+# builds its site's input from a 2-entry list v.
+ARRAY_PARAMETERS = {
+    "ket amplitudes": lambda v: ep.Ket(ep.DimensionProfile((2,)), v),
+    "density matrix": lambda v: ep.DensityOp(ep.DimensionProfile((2,)), [v, v]),
+    "Schatten norm matrix": lambda v: ep.schatten_norm([v, v], 1),
+    "epi_residuals values": lambda v: ep.epi_residuals(v, 0.5),
+    "alpha_sweep values": lambda v: ep.alpha_sweep(v, [0.5]),
+    "acin_params coefficients": lambda v: ep.acin_params((v * 3)[:5]),
+    "GWSpec coefficients": lambda v: ep.GWSpec([v]),
+    "gw_spec coefficients": lambda v: ep.gw_spec([v]),
+    "purification spectrum a": lambda v: ep.ProductPurificationSpec(v, [0.5, 0.5]),
+    "purification spectrum b": lambda v: ep.ProductPurificationSpec([0.5, 0.5], v),
+    "state file amplitudes": _state_file_amplitudes,
+}
+# The real arrays; the state file is real too, but JSON holds no complex number.
+REAL_ARRAYS = [
+    "epi_residuals values", "alpha_sweep values", "acin_params coefficients",
+    "purification spectrum a", "purification spectrum b",
+]
+
+
+@pytest.mark.parametrize("build", ARRAY_PARAMETERS.values(), ids=list(ARRAY_PARAMETERS))
+class TestArrayParameters:
+    @pytest.mark.parametrize("bad", [["1", "0"], [True, False], [None, 1]], ids=repr)
+    def test_non_numbers_rejected(self, build, bad):
+        with pytest.raises(ep.InputError, match="must be (real )?numbers"):
+            build(bad)
+
+    def test_ragged_rejected(self, build):
+        with pytest.raises(ep.InputError, match="rectangular"):
+            build([[1, 0], [0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_rejected(self, build, bad):
+        with pytest.raises(ep.InputError, match="finite"):
+            build([bad, 0])
+
+
+@pytest.mark.parametrize("name", REAL_ARRAYS)
+def test_complex_entries_rejected_in_a_real_array(name):
+    with pytest.raises(ep.InputError, match="must be real numbers"):
+        ARRAY_PARAMETERS[name]([1j, 0])
+
+
+@pytest.mark.parametrize("bad", [np.stack([np.eye(3)] * 3), np.array([3.0, 4.0])], ids=["stack", "vector"])
+def test_schatten_norm_needs_one_matrix(bad):
+    # three stacked identities gave 6.0, and a vector raised LinAlgError
+    with pytest.raises(ep.InputError, match="needs a matrix"):
+        ep.schatten_norm(bad, 1)
