@@ -31,7 +31,7 @@ from .polygon import (
     indicator_delta,
     one_to_rest_values,
 )
-from .tensor import NORM_TOL, DimensionProfile, InputError, Ket, Partition, _array, _whole
+from .tensor import NORM_TOL, DimensionProfile, InputError, Ket, Partition, _array, _norm, _whole
 
 STATE_NORM_REJECT = 1e-6
 STATE_NORM_WARN = 1e-9
@@ -48,11 +48,12 @@ def _format_number(x, digits: int) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; -0.0 keeps its sign as a float."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, float, np.integer, np.floating)):
-        return _format_number(obj, 17)
+        text = _format_number(obj, 17)
+        return "-0.0" if text == "-0" else text  # only a negative-zero float prints "-0"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -95,7 +96,7 @@ def read_state_file(path: str) -> Ket:
     if pairs.shape != (profile.total_dim, 2):
         raise InputError(f"state file {path!r} needs {profile.total_dim} [re, im] amplitude pairs, got {pairs.shape}")
     amp = pairs.view(complex).reshape(-1)  # each C-contiguous (re, im) row is one complex, bit for bit
-    nrm = float(np.linalg.norm(amp))
+    nrm = _norm(amp)
     if abs(nrm - 1.0) > STATE_NORM_REJECT:
         raise InputError(f"state file {path!r} norm {nrm} is too far from 1")
     if abs(nrm - 1.0) > STATE_NORM_WARN:

@@ -57,6 +57,8 @@ class AcinParams:
 def acin_params(ls, theta: float = 0.0) -> AcinParams:
     """Build AcinParams from an unnormalized non-negative 5-vector."""
     ls = _array(ls, "Acin coefficients")
+    if ls.shape != (5,):
+        raise InputError(f"Acin coefficients must be a 5-vector (l0..l4), got shape {ls.shape}")
     nrm = float(np.linalg.norm(ls))
     if not 0.0 < nrm < math.inf:
         raise InputError("Acin coefficients must be finite and not all zero")

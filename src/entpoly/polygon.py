@@ -12,6 +12,7 @@ single-target case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,11 @@ MEASURE_FLOOR = 1e-12
 # Audits stack trials in chunks of at most this many amplitudes (1 MiB), so
 # amplitude memory stays bounded; each target keeps only a running tally.
 AUDIT_CHUNK_ELEMS = 1 << 16
+
+# Entries kept by the per-(seed, trial) seed-word memo, about 330 B each: a
+# memory bound, not a hit-rate target; an audit repeated over at most this many
+# trials draws every state without rehashing its seed.
+TRIAL_SEED_CACHE = 4096
 
 
 def _powered(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -196,9 +202,41 @@ class AuditSummary:
         return (self.seed, self.worst_trial)
 
 
+@functools.lru_cache(maxsize=TRIAL_SEED_CACHE)
+def _trial_words(seed: int, trial: int) -> np.ndarray:
+    """The 4 read-only words `SeedSequence([seed, trial])` seeds PCG64 with."""
+    words = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _stored_seed() -> type:
+    """An ISeedSequence that hands PCG64 stored seed words and cannot spawn.
+
+    Defined on first use, so importing the package leaves numpy.random unimported.
+    """
+
+    class StoredSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for exactly the 4 uint64 words stored
+
+    return StoredSeed
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic per-trial generator, independent of execution order."""
-    return np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed"), _whole(trial, "trial")]))
+    """Deterministic per-trial generator, independent of execution order.
+
+    Bit for bit `np.random.default_rng(np.random.SeedSequence([seed, trial]))`,
+    with the seed words memoized per (seed, trial).
+    """
+    words = _trial_words(_whole(seed, "seed"), _whole(trial, "trial"))
+    return np.random.Generator(np.random.PCG64(_stored_seed()(words)))
 
 
 def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:

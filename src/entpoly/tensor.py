@@ -93,6 +93,16 @@ def _array(values, what: str, dtype: type = float) -> np.ndarray:
     return arr
 
 
+def _norm(amp: np.ndarray) -> float:
+    """Euclidean norm of a 1-D complex array: the two BLAS dots `np.linalg.norm` runs, bit for bit.
+
+    The dots run on the strided `.real` and `.imag` views; contiguous copies
+    would sum in another order and change last bits.
+    """
+    re, im = amp.real, amp.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _choice(table: dict, name, what: str):
     """The rule for a name: `table[name]` for an exact string key; any other name, a list too, is unknown."""
     if isinstance(name, str) and name in table:
@@ -158,7 +168,7 @@ class Ket:
                 f"expected {self.profile.total_dim} amplitudes for dims "
                 f"{self.profile.dims}, got {amp.size}"
             )
-        nrm = float(np.linalg.norm(amp))
+        nrm = _norm(amp)
         if abs(nrm - 1.0) > NORM_TOL:
             raise InputError(f"ket must be normalized, |norm - 1| = {abs(nrm - 1.0):.3e}")
         amp.flags.writeable = False
@@ -222,7 +232,7 @@ def sparse_ket(profile: DimensionProfile, terms: Iterable[tuple[Sequence[int], c
     amp = np.zeros(profile.total_dim, dtype=complex)
     for label, value in terms:
         amp[flat_index(label, profile)] = value
-    nrm = float(np.linalg.norm(amp))
+    nrm = _norm(amp)
     if not 0.0 < nrm < np.inf:  # checked before dividing: 0/0 and inf/inf would warn
         raise InputError(f"sparse ket amplitudes must be finite and not all zero, got norm {nrm}")
     return Ket(profile, amp / nrm)
@@ -324,10 +334,15 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
 
 
 def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
-    """Haar-random pure state; `seed` is anything numpy's default_rng accepts."""
+    """Haar-random pure state; `seed` is anything numpy's default_rng accepts.
+
+    The first total_dim normal draws are the real parts, the next the imaginary parts.
+    """
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(profile.total_dim) + 1j * rng.standard_normal(profile.total_dim)
-    return Ket(profile, z / np.linalg.norm(z))
+    z = np.empty(profile.total_dim, complex)
+    z.real, z.imag = rng.standard_normal((2, profile.total_dim))
+    z /= _norm(z)
+    return Ket(profile, z)
 
 
 def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +430,24 @@ class TestJsonSerialization:
         text = json_dumps({"values": values})
         assert json.loads(text)["values"] == values
 
+    def test_negative_zero_round_trips_as_a_float(self):
+        # format(-0.0, ".17g") is "-0", which JSON reads back as the int 0
+        text = json_dumps({"r": -0.0, "s": np.float64(-0.0), "z": 0.0, "i": 0})
+        assert text == '{"r": -0.0, "s": -0.0, "z": 0, "i": 0}'
+        back = json.loads(text)
+        for key in ("r", "s"):
+            assert isinstance(back[key], float) and math.copysign(1.0, back[key]) == -1.0
+
     def test_deterministic(self):
         payload = {"a": 1.0, "b": [True, None, "x"], "c": {"d": 0.1}}
         assert json_dumps(payload) == json_dumps(payload)
+
+
+def test_cli_import_leaves_numpy_random_unimported():
+    # the audit's stored-seed type is built on first use, so a CLI process that
+    # draws nothing does not pay for importing numpy.random
+    src = str(Path(ep.__file__).resolve().parent.parent)
+    code = "import sys, entpoly.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

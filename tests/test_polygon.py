@@ -369,6 +369,66 @@ class TestAudit:
             assert np.array_equal(psi.amplitudes, ref.amplitudes)
 
 
+# Seeds and trials of one, two and three 32-bit words, so the hashed entropy runs to several words.
+WIDE_WORDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+
+
+def _seed_sequence_rng(seed, trial):
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+
+class TestTrialSeedMemo:
+    def test_stream_equals_the_seed_sequence_cold_and_warm(self):
+        polygon._trial_words.cache_clear()
+        for seed, trial in itertools.product(WIDE_WORDS, repeat=2):
+            for _ in ("cold", "warm"):
+                rng, ref = polygon.trial_rng(seed, trial), _seed_sequence_rng(seed, trial)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+                assert np.array_equal(rng.integers(0, 2**63, 8), ref.integers(0, 2**63, 8))
+        info = polygon._trial_words.cache_info()
+        assert (info.misses, info.hits) == (25, 25)
+
+    def test_memo_stays_within_its_bound(self):
+        polygon._trial_words.cache_clear()
+        bound = polygon.TRIAL_SEED_CACHE
+        ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, bound + 100, seed=8)
+        info = polygon._trial_words.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
+
+    def test_audit_equal_with_cold_warm_and_no_memo(self, monkeypatch):
+        prof = ep.DimensionProfile((2, 3))
+        polygon._trial_words.cache_clear()
+        cold = ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
+        warm = ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
+        monkeypatch.setattr(polygon, "trial_rng", _seed_sequence_rng)
+        assert cold == warm == ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
+
+    def test_memo_memory_within_budget(self):
+        polygon.trial_rng(0, 0)  # builds the stored-seed type outside the trace
+        polygon._trial_words.cache_clear()
+        bound = polygon.TRIAL_SEED_CACHE
+        tracemalloc.start()
+        try:
+            for trial in range(bound):
+                polygon.trial_rng(5, trial)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < bound * 512  # about 330 B an entry
+
+    def test_stored_words_are_read_only(self):
+        words = polygon._trial_words(3, 4)
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 0
+
+    def test_trial_generator_cannot_spawn(self):
+        with pytest.raises(TypeError, match="spawn"):
+            polygon.trial_rng(3, 4).spawn(1)
+
+
 def _parts(*texts):
     return [None if t is None else ep.Partition.parse(t) for t in texts]
 
@@ -630,6 +690,13 @@ class TestArrayParameters:
 def test_complex_entries_rejected_in_a_real_array(name):
     with pytest.raises(ep.InputError, match="must be real numbers"):
         ARRAY_PARAMETERS[name]([1j, 0])
+
+
+@pytest.mark.parametrize("bad", [[1, 1, 1, 1], [1] * 6, [[1] * 5], 1.0], ids=repr)
+def test_acin_params_needs_five_coefficients(bad):
+    # a 4-vector raised a bare TypeError for the missing l4, a 6-vector one for theta given twice
+    with pytest.raises(ep.InputError, match="5-vector"):
+        ep.acin_params(bad)
 
 
 @pytest.mark.parametrize("bad", [np.stack([np.eye(3)] * 3), np.array([3.0, 4.0])], ids=["stack", "vector"])
