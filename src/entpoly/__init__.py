@@ -60,7 +60,6 @@ from .tensor import (
     HERMITIAN_TOL,
     NORM_TOL,
     PSD_TOL,
-    TRACE_TOL,
     DensityOp,
     DimensionProfile,
     InputError,
@@ -71,7 +70,6 @@ from .tensor import (
     flat_index,
     haar_random_ket,
     iter_partitions,
-    multi_index,
     partial_trace,
     partial_transpose,
     random_density,

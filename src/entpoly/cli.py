@@ -31,7 +31,7 @@ from .polygon import (
     indicator_delta,
     one_to_rest_values,
 )
-from .tensor import NORM_TOL, DimensionProfile, InputError, Ket, Partition, _array, _norm, _whole
+from .tensor import NORM_TOL, DimensionProfile, InputError, Ket, Partition, _array, _norm, _unit, _whole
 
 STATE_NORM_REJECT = 1e-6
 STATE_NORM_WARN = 1e-9
@@ -101,7 +101,7 @@ def read_state_file(path: str) -> Ket:
         raise InputError(f"state file {path!r} norm {nrm} is too far from 1")
     if abs(nrm - 1.0) > STATE_NORM_WARN:
         click.echo(f"warning: renormalizing state {path!r} (|norm - 1| = {abs(nrm - 1.0):.3e})", err=True)
-    return Ket(profile, amp / nrm if abs(nrm - 1.0) > NORM_TOL else amp)
+    return Ket(profile, _unit(amp, f"state file {path!r} amplitudes") if abs(nrm - 1.0) > NORM_TOL else amp)
 
 
 def write_state_file(path: str, psi: Ket) -> None:

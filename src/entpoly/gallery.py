@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionProfile, InputError, Ket, Partition, _array, _choice, _real, _whole, sparse_ket
+from .tensor import (
+    DimensionProfile, InputError, Ket, Partition, _array, _choice, _near_one, _real, _unit, _whole, sparse_ket,
+)
 
-SPEC_NORM_TOL = 1e-12
 BISEP_TOL = 1e-9  # default threshold for calling a discriminant zero
 
 #: The one-qubit lambda_max triple printed for the first worked example, in cut
@@ -45,9 +46,7 @@ class AcinParams:
         for name in ("l0", "l1", "l2", "l3", "l4"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, math.inf, hi_open=True))
         object.__setattr__(self, "theta", _real(self.theta, "theta", 0.0, math.pi, hi_open=True))
-        ssum = sum(l * l for l in self.ls)
-        if abs(ssum - 1.0) > SPEC_NORM_TOL:
-            raise InputError(f"Acin coefficients must satisfy sum l_i^2 = 1, got {ssum}")
+        _near_one(sum(l * l for l in self.ls), "Acin sum l_i^2")
 
     @property
     def ls(self) -> tuple[float, float, float, float, float]:
@@ -59,11 +58,7 @@ def acin_params(ls, theta: float = 0.0) -> AcinParams:
     ls = _array(ls, "Acin coefficients")
     if ls.shape != (5,):
         raise InputError(f"Acin coefficients must be a 5-vector (l0..l4), got shape {ls.shape}")
-    nrm = float(np.linalg.norm(ls))
-    if not 0.0 < nrm < math.inf:
-        raise InputError("Acin coefficients must be finite and not all zero")
-    ls = ls / nrm
-    return AcinParams(*ls.tolist(), theta=theta)
+    return AcinParams(*_unit(ls, "Acin coefficients").tolist(), theta=theta)
 
 
 def acin_state(params: AcinParams) -> Ket:
@@ -148,9 +143,7 @@ class GWSpec:
         c = np.atleast_2d(_array(self.coeffs, "GW coefficients", complex))
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InputError("GW coefficients must form an n x d matrix")
-        total = float(np.sum(np.abs(c) ** 2))
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SPEC_NORM_TOL):
-            raise InputError(f"GW coefficients must have unit square sum, got {total}")
+        _near_one(float(np.sum(np.abs(c) ** 2)), "GW coefficient square sum")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -173,6 +166,8 @@ class GWSpec:
 def gw_spec(coeffs) -> GWSpec:
     """Build a GWSpec from an unnormalized coefficient matrix."""
     c = np.atleast_2d(_array(coeffs, "GW coefficients", complex))
+    # Not `_unit`: this is the sum `GWSpec` checks and `block_weights` adds up, and
+    # `_norm` rounds differently on about a third of Gaussian draws, moving audit bits.
     nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if not 0.0 < nrm < math.inf:
         raise InputError("GW coefficients must be finite and not all zero")
@@ -233,8 +228,7 @@ class ProductPurificationSpec:
             vec = _array(getattr(self, field_name), f"spectrum {field_name}").reshape(-1)
             if vec.size < 1 or np.any(vec < 0):
                 raise InputError(f"spectrum {field_name} must be a non-negative vector")
-            if not math.isclose(vec.sum(), 1.0, rel_tol=0.0, abs_tol=SPEC_NORM_TOL):
-                raise InputError(f"spectrum {field_name} must sum to 1, got {vec.sum()}")
+            _near_one(vec.sum(), f"spectrum {field_name} sum")
             vec.flags.writeable = False
             object.__setattr__(self, field_name, vec)
 

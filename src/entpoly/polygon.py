@@ -76,10 +76,12 @@ class EpiReport:
 
 
 def _block_spectra(profile: DimensionProfile, amplitudes, partitions) -> dict:
-    """Block -> (T, d_block) spectra of a (T, D) stack of kets: one stacked SVD per distinct block."""
+    """Block -> (T, d_block) spectra of a (T, D) stack of kets: one stacked SVD per distinct block.
+
+    The partitions must already cover the profile (`Partition.validate_for`).
+    """
     spectra = {}
     for partition in partitions:
-        partition.validate_for(profile.n)
         for block in partition.blocks:
             if block not in spectra:
                 spectra[block] = reduced_spectra(profile, amplitudes, block)
@@ -93,6 +95,7 @@ def _block_values(spectra: dict, partition: Partition, measure: MeasureKind) -> 
 
 def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> np.ndarray:
     """Measure each block against its complement, in block order."""
+    partition.validate_for(psi.profile.n)
     return _block_values(_block_spectra(psi.profile, psi.amplitudes, [partition]), partition, measure)[0]
 
 
@@ -322,6 +325,8 @@ def audit_plan(
     first = next(draws)
     state_profile = first.profile
     partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
+    for partition in partitions:  # after one draw, not a chunk of them
+        partition.validate_for(state_profile.n)
     targets = list(itertools.product(partitions, measures, alphas))
     tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
     draws = itertools.chain([first], draws)

@@ -6,7 +6,9 @@ vectors are row-major with subsystem 1 most significant, so the basis label
 immutable after construction and safe to share across threads.  Every scalar
 parameter of the package passes `_whole` or `_real`, given its range, every
 array parameter passes `_array`, given its number type, and every measure,
-sampler or gallery name passes `_choice`, given its table.
+sampler or gallery name passes `_choice`, given its table.  Every vector
+scaled to unit norm passes `_unit`, and every norm, trace or probability sum
+that must be 1 passes `_near_one`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Construction / verification tolerances, exposed read-only for tests.
-NORM_TOL = 1e-12
+NORM_TOL = 1e-12  # every norm, trace and probability sum that must be 1
 HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
 PSD_TOL = 1e-10  # density eigenvalues in [-PSD_TOL, 0) are roundoff, below is a bug
 
 # Largest total dimension a profile may declare: 2^24 amplitudes, a 256 MiB
@@ -94,13 +95,31 @@ def _array(values, what: str, dtype: type = float) -> np.ndarray:
 
 
 def _norm(amp: np.ndarray) -> float:
-    """Euclidean norm of a 1-D complex array: the two BLAS dots `np.linalg.norm` runs, bit for bit.
+    """Euclidean norm of a 1-D float or complex array: the two BLAS dots numpy's `linalg.norm` runs, bit for bit.
 
     The dots run on the strided `.real` and `.imag` views; contiguous copies
     would sum in another order and change last bits.
     """
     re, im = amp.real, amp.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _unit(values: np.ndarray, what: str) -> np.ndarray:
+    """The rule for scaling to unit norm: a fresh 1-D array, divided in place by its `_norm` and returned.
+
+    A zero or non-finite norm is rejected before dividing, so 0/0 and inf/inf never warn.
+    """
+    nrm = _norm(values)
+    if not 0.0 < nrm < math.inf:
+        raise InputError(f"{what} must be finite and not all zero, got norm {nrm}")
+    values /= nrm
+    return values
+
+
+def _near_one(value, what: str) -> None:
+    """The rule for a norm, trace or probability sum: within NORM_TOL of 1; NaN and inf never are."""
+    if not abs(value - 1.0) <= NORM_TOL:
+        raise InputError(f"{what} must be 1 to within {NORM_TOL:g}, got {value}")
 
 
 def _choice(table: dict, name, what: str):
@@ -133,10 +152,6 @@ class DimensionProfile:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def block_dim(self, block: Iterable[int]) -> int:
-        """Product of local dimensions over a 1-based subsystem index set."""
-        return math.prod(self.dims[i - 1] for i in self.block_indices(block))
-
     def block_indices(self, block: Iterable[int], *, allow_full: bool = True) -> tuple[int, ...]:
         """Validate a 1-based index set and return it sorted (still 1-based)."""
         raw = tuple(_whole(i, "subsystem index", 1, self.n) for i in block)
@@ -168,9 +183,7 @@ class Ket:
                 f"expected {self.profile.total_dim} amplitudes for dims "
                 f"{self.profile.dims}, got {amp.size}"
             )
-        nrm = _norm(amp)
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise InputError(f"ket must be normalized, |norm - 1| = {abs(nrm - 1.0):.3e}")
+        _near_one(_norm(amp), "ket norm")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -195,9 +208,7 @@ class DensityOp:
         herm_dev = float(np.max(np.abs(mat - adjoint)))
         if herm_dev > HERMITIAN_TOL:
             raise InputError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InputError(f"trace must be 1, got {tr}")
+        _near_one(complex(np.trace(mat)), "density trace")
         mat += adjoint  # adjoint is a fresh array (conj copies), so this does not alias
         mat /= 2
         lo = float(np.min(np.linalg.eigvalsh(mat)))
@@ -217,25 +228,12 @@ def flat_index(multi: Sequence[int], profile: DimensionProfile) -> int:
     return x
 
 
-def multi_index(flat: int, profile: DimensionProfile) -> tuple[int, ...]:
-    """Inverse of flat_index."""
-    flat = _whole(flat, "flat index", 0, profile.total_dim - 1)
-    out = []
-    for d in reversed(profile.dims):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
-
-
 def sparse_ket(profile: DimensionProfile, terms: Iterable[tuple[Sequence[int], complex]]) -> Ket:
     """Normalized ket from (label, amplitude) terms; unnamed labels carry zero amplitude."""
     amp = np.zeros(profile.total_dim, dtype=complex)
     for label, value in terms:
         amp[flat_index(label, profile)] = value
-    nrm = _norm(amp)
-    if not 0.0 < nrm < np.inf:  # checked before dividing: 0/0 and inf/inf would warn
-        raise InputError(f"sparse ket amplitudes must be finite and not all zero, got norm {nrm}")
-    return Ket(profile, amp / nrm)
+    return Ket(profile, _unit(amp, "sparse ket amplitudes"))
 
 
 def basis_ket(profile: DimensionProfile, multi: Sequence[int]) -> Ket:
@@ -341,8 +339,7 @@ def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
     rng = np.random.default_rng(seed)
     z = np.empty(profile.total_dim, complex)
     z.real, z.imag = rng.standard_normal((2, profile.total_dim))
-    z /= _norm(z)
-    return Ket(profile, z)
+    return Ket(profile, _unit(z, "Haar draw"))
 
 
 def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:

@@ -67,6 +67,33 @@ def test_non_finite_coefficients_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [ep.acin_params, ep.gw_spec], ids=["acin_params", "gw_spec"])
+def test_all_zero_coefficients_rejected(build):
+    with pytest.raises(ep.InputError, match="not all zero"):
+        build(np.zeros(5))
+
+
+# Every norm, trace and probability sum that must be 1 passes tensor._near_one:
+# each site builds its input with that quantity at s.
+P2 = ep.DimensionProfile((2,))
+UNIT_SITES = {
+    "ket norm": lambda s: ep.Ket(P2, [s, 0]),
+    "density trace": lambda s: ep.DensityOp(P2, np.diag([s, 0.0])),
+    "Acin sum l_i^2": lambda s: ep.AcinParams(math.sqrt(s), 0, 0, 0, 0),
+    "GW square sum": lambda s: ep.GWSpec([[math.sqrt(s)]]),
+    "spectrum a sum": lambda s: ep.ProductPurificationSpec([s - 0.5, 0.5], [0.5, 0.5]),
+    "spectrum b sum": lambda s: ep.ProductPurificationSpec([0.5, 0.5], [0.5, s - 0.5]),
+}
+
+
+@pytest.mark.parametrize("build", UNIT_SITES.values(), ids=list(UNIT_SITES))
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_unit_quantity_within_norm_tol_of_one(build, side):
+    build(1.0 + side * 0.5 * ep.NORM_TOL)
+    with pytest.raises(ep.InputError, match="must be 1 to within 1e-12"):
+        build(1.0 + side * 2.0 * ep.NORM_TOL)
+
+
 class TestAcinSpectra:
     def test_ghz_pairs(self):
         s = 1 / math.sqrt(2)

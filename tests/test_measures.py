@@ -105,7 +105,8 @@ class TestGem:
         for seed in range(5):
             psi = ep.haar_random_ket(ep.DimensionProfile((2, 3, 4)), seed)
             for block in [(1,), (2,), (3,), (1, 2)]:
-                d_min = min(psi.profile.block_dim(block), psi.profile.block_dim(psi.profile.complement(block)))
+                dims = psi.profile.dims
+                d_min = min(math.prod(dims[i - 1] for i in b) for b in (block, psi.profile.complement(block)))
                 val = ep.measure_value(psi, block, ep.GEM)
                 assert 0.0 <= val <= 1.0 - 1.0 / d_min + 1e-12
 

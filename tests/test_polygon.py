@@ -523,6 +523,15 @@ class TestAuditPlan:
         with pytest.raises(ep.InputError, match="partition covers 3 parties, expected 2"):
             ep.audit_plan(prof, _parts(None, "1|2|3"), [ep.GEM], [0.5], 5, 1)
 
+    def test_uncovering_partition_rejected_after_one_draw(self, monkeypatch):
+        # the cover check ran per chunk of spectra, so all 5000 trials were drawn first
+        draws = []
+        real = polygon.sample_state
+        monkeypatch.setattr(polygon, "sample_state", lambda *args: draws.append(args) or real(*args))
+        with pytest.raises(ep.InputError, match="partition covers 3 parties, expected 2"):
+            ep.audit_plan(ep.DimensionProfile((2, 2)), _parts("1|2|3"), [ep.GEM], [0.5], 5000, 1)
+        assert len(draws) == 1
+
 
 class TestEpiReport:
     def test_report_fields(self):
@@ -605,7 +614,6 @@ WHOLE_PARAMETERS = {
     "GHZ qubit count": ep.ghz_state,
     "W qubit count": ep.w_state,
     "designated block": lambda v: ep.alpha_sweep([0.5, 0.25], [0.5], block=v),
-    "flat index": lambda v: ep.multi_index(v, P22),
     "label entry": lambda v: ep.flat_index((v, 0), P22),
     "local dimension": lambda v: ep.DimensionProfile((v, 2)),
     "subsystem index": lambda v: P22.block_indices((v,)),
