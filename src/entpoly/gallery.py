@@ -218,15 +218,17 @@ def gw_negativity_closed(spec: GWSpec, partition: Partition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProductPurificationSpec:
-    """Spectra (a, b) of the two marginals the purification must reproduce."""
+    """Spectra (a, b) of the two marginals the purification must reproduce, each of 2 or more entries."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         for field_name in ("a", "b"):
-            vec = _array(getattr(self, field_name), f"spectrum {field_name}").reshape(-1)
-            if vec.size < 1 or np.any(vec < 0):
+            vec = _array(getattr(self, field_name), f"spectrum {field_name}")
+            if vec.ndim != 1 or vec.size < 2:
+                raise InputError(f"spectrum {field_name} must be a vector of 2 or more entries, got shape {vec.shape}")
+            if np.any(vec < 0):
                 raise InputError(f"spectrum {field_name} must be a non-negative vector")
             _near_one(vec.sum(), f"spectrum {field_name} sum")
             vec.flags.writeable = False

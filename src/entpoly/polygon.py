@@ -4,10 +4,10 @@ For a partition {P_1, ..., P_k} and a measure E, the residual at block j is
 r_j = sum_{l != j} E(P_l)^alpha - E(P_j)^alpha; the inequality holds when
 every residual clears -VIOLATION_TOL.  One kernel measures a (T, D) stack of
 kets with one stacked SVD per distinct block: a single state is the T = 1
-case, and an audit stacks its (seed, trial) states, so any trial replays
-bit-exactly alone.  `audit_plan` draws each trial once and shares its spectra
-across every partition, measure and alpha it audits; `audit_random` is its
-single-target case.
+case, and an audit draws its (seed, trial) states a chunk of rows at a time,
+so any trial replays bit-exactly alone.  `audit_plan` draws each trial once
+and shares its spectra across every partition, measure and alpha it audits;
+`audit_random` is its single-target case.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 
 from . import gallery
 from .measures import MeasureKind, measure_value  # noqa: F401  (bound here for perfbench/tracing.py)
+from .tensor import haar_random_ket  # noqa: F401  (bound here for perfbench/tracing.py)
 from .tensor import (
-    DimensionProfile, InputError, Ket, Partition, _array, _choice, _real, _whole, haar_random_ket, reduced_spectra,
+    DimensionProfile, InputError, Ket, Partition, _array, _choice, _haar_rows, _real, _whole, reduced_spectra,
 )
 
 # A residual below -VIOLATION_TOL counts as a violation; measure values
@@ -242,37 +243,56 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stored_seed()(words)))
 
 
-def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
-    """Product purification of random marginal spectra; the purifier is a third party."""
+def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
+    """The profile of the states `sampler` draws for an audit of `profile`, checked before any draw.
+
+    The purification's purifier is a third party, so [da, db] samples [da, db, da*db].
+    """
     dims = profile.dims
-    if not (len(dims) == 2 or (len(dims) == 3 and dims[2] == dims[0] * dims[1])):
-        raise InputError(f"purification sampler needs dims [da, db] or [da, db, da*db], got {dims}")
-    da, db = dims[:2]
+    if sampler == "purification":
+        if not (len(dims) == 2 or (len(dims) == 3 and dims[2] == dims[0] * dims[1])):
+            raise InputError(f"purification sampler needs dims [da, db] or [da, db, da*db], got {dims}")
+        return DimensionProfile((dims[0], dims[1], dims[0] * dims[1]))
+    if sampler == "gw" and len(set(dims)) != 1:
+        raise InputError(f"gw sampler needs equal local dimensions, got {dims}")
+    return profile
+
+
+def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
+    """Product purification of random marginal spectra on [da, db, da*db]."""
+    da, db = profile.dims[:2]
     spec = gallery.ProductPurificationSpec(rng.dirichlet(np.ones(da)), rng.dirichlet(np.ones(db)))
     return gallery.product_purification(spec)
 
 
 def _gw(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
     """GW state with Gaussian coefficients on n parties of equal local dimension d+1."""
-    if len(set(profile.dims)) != 1:
-        raise InputError(f"gw sampler needs equal local dimensions, got {profile.dims}")
     n, d = profile.n, profile.dims[0] - 1
     coeffs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return gallery.gw_state(gallery.gw_spec(coeffs))
 
 
-# name -> (profile, rng) -> Ket.  "haar" looks haar_random_ket up at call time,
-# so a wrapper bound over this module's name (perfbench/tracing.py) sees each draw.
+def _ket_rows(draw):
+    """A SAMPLERS entry stacking the amplitudes of one gallery ket `draw(profile, rng)` per trial."""
+    return lambda profile, seed, trials: np.stack([draw(profile, trial_rng(seed, t)).amplitudes for t in trials])
+
+
+# name -> (profile, seed, trials: range) -> (T, D) unit amplitudes, row t drawn
+# from trial_rng(seed, trials[t]) alone; `profile` is the sampled state's
+# (`_state_profile`).  Haar rows go straight into one chunk buffer.
 SAMPLERS = {
-    "haar": lambda profile, rng: haar_random_ket(profile, rng),
-    "purification": _purification,
-    "gw": _gw,
+    "haar": lambda profile, seed, trials: _haar_rows(profile.total_dim, [trial_rng(seed, t) for t in trials]),
+    "purification": _ket_rows(_purification),
+    "gw": _ket_rows(_gw),
 }
 
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
-    """Draw the trial state for an audit; deterministic in (seed, trial)."""
-    return _choice(SAMPLERS, sampler, "sampler")(profile, trial_rng(seed, trial))
+    """Draw the trial state for an audit; deterministic in (seed, trial): the one-row audit draw."""
+    draw = _choice(SAMPLERS, sampler, "sampler")
+    state_profile = _state_profile(profile, sampler)
+    seed, trial = _whole(seed, "seed"), _whole(trial, "trial")
+    return Ket(state_profile, draw(state_profile, seed, range(trial, trial + 1))[0])
 
 
 def audit_trial_report(
@@ -321,18 +341,16 @@ def audit_plan(
         raise InputError("an audit needs at least one partition, one measure and one alpha")
     alphas = [_check_alpha(alpha, allow_unproven) for alpha in alphas]
     tolerance = _check_tolerance(tolerance)
-    draws = (sample_state(profile, sampler, seed, trial) for trial in range(trials))
-    first = next(draws)
-    state_profile = first.profile
+    draw = _choice(SAMPLERS, sampler, "sampler")
+    state_profile = _state_profile(profile, sampler)
     partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
-    for partition in partitions:  # after one draw, not a chunk of them
+    for partition in partitions:
         partition.validate_for(state_profile.n)
     targets = list(itertools.product(partitions, measures, alphas))
     tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
-    draws = itertools.chain([first], draws)
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
     for start in range(0, trials, chunk):
-        amplitudes = np.stack([psi.amplitudes for psi in itertools.islice(draws, chunk)])
+        amplitudes = draw(state_profile, seed, range(start, min(start + chunk, trials)))
         spectra = _block_spectra(state_profile, amplitudes, partitions)
         mins = []  # per target, in `targets` order: each trial's minimum residual
         for partition in partitions:

@@ -105,14 +105,16 @@ def _norm(amp: np.ndarray) -> float:
 
 
 def _unit(values: np.ndarray, what: str) -> np.ndarray:
-    """The rule for scaling to unit norm: a fresh 1-D array, divided in place by its `_norm` and returned.
+    """The rule for scaling to unit norm: each row of a fresh 1-D or 2-D array, divided in place by its `_norm`.
 
-    A zero or non-finite norm is rejected before dividing, so 0/0 and inf/inf never warn.
+    Returns `values`.  A zero or non-finite norm is rejected before dividing, so
+    0/0 and inf/inf never warn.
     """
-    nrm = _norm(values)
-    if not 0.0 < nrm < math.inf:
-        raise InputError(f"{what} must be finite and not all zero, got norm {nrm}")
-    values /= nrm
+    norms = [_norm(row) for row in values] if values.ndim == 2 else [_norm(values)]
+    for nrm in norms:
+        if not 0.0 < nrm < math.inf:
+            raise InputError(f"{what} must be finite and not all zero, got norm {nrm}")
+    values /= norms[0] if len(norms) == 1 else np.array(norms)[:, None]
     return values
 
 
@@ -331,15 +333,24 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
-    """Haar-random pure state; `seed` is anything numpy's default_rng accepts.
+def _haar_rows(D: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(T, D) Haar-random unit rows, row t drawn from rngs[t] alone.
 
-    The first total_dim normal draws are the real parts, the next the imaginary parts.
+    Each generator's first D normal draws are the row's real parts, the next D
+    its imaginary parts, so row t equals the `haar_random_ket` of rngs[t] bit
+    for bit, whatever the other rows.
     """
-    rng = np.random.default_rng(seed)
-    z = np.empty(profile.total_dim, complex)
-    z.real, z.imag = rng.standard_normal((2, profile.total_dim))
-    return Ket(profile, _unit(z, "Haar draw"))
+    normals = np.empty((len(rngs), 2, D))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)  # the stream of standard_normal((2, D))
+    z = np.empty((len(rngs), D), complex)
+    z.real, z.imag = normals[:, 0], normals[:, 1]
+    return _unit(z, "Haar draw")
+
+
+def haar_random_ket(profile: DimensionProfile, seed) -> Ket:
+    """Haar-random pure state; `seed` is anything numpy's default_rng accepts: the one-row `_haar_rows`."""
+    return Ket(profile, _haar_rows(profile.total_dim, [np.random.default_rng(seed)])[0])
 
 
 def random_density(profile: DimensionProfile, rank: int, seed) -> DensityOp:

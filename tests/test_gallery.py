@@ -326,6 +326,17 @@ class TestProductPurification:
         # the C cut then sees only the B-side entanglement
         assert abs(ep.negativity(psi, (3,)) - ep.negativity(psi, (2,))) < 1e-9
 
+    @pytest.mark.parametrize("bad", [
+        [[0.25, 0.25], [0.25, 0.25]],  # was flattened into a 4-vector
+        [1.0],  # passed the spec and failed later as a local dimension of 1
+        1.0,
+    ], ids=["2x2", "one-entry", "scalar"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_spectrum_must_be_a_vector_of_two_or_more(self, bad, side):
+        args = {"a": [0.5, 0.5], "b": [0.5, 0.5], side: bad}
+        with pytest.raises(ep.InputError, match=f"spectrum {side} must be a vector of 2 or more entries"):
+            ep.ProductPurificationSpec(**args)
+
 
 class TestNegativityGap:
     def test_uniform3(self):

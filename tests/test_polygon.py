@@ -289,7 +289,9 @@ class TestAudit:
     def test_worst_trial_is_first_of_ties(self, monkeypatch):
         # identical trials tie on the minimum residual; the first one is reported
         psi = ep.named_state("w(3)")
-        monkeypatch.setattr(polygon, "sample_state", lambda profile, sampler, seed, trial: psi)
+        monkeypatch.setitem(
+            polygon.SAMPLERS, "haar", lambda profile, seed, trials: np.stack([psi.amplitudes] * len(trials))
+        )
         monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 2 * psi.profile.total_dim)
         summary = ep.audit_random(psi.profile, None, ep.GEM, 0.5, 5, seed=1)
         assert summary.worst_trial == 0
@@ -307,13 +309,16 @@ class TestAudit:
             ep.sample_state(ep.DimensionProfile((2, 2)), ["haar"], 1, 0)
 
     @pytest.mark.parametrize("sampler, dims", [("purification", (2, 2, 2)), ("gw", (2, 3))])
-    def test_sampler_profile_rules(self, sampler, dims):
-        # purification takes [da, db] or [da, db, da*db]; gw needs equal local dimensions
+    def test_sampler_profile_rules(self, monkeypatch, sampler, dims):
+        # purification takes [da, db] or [da, db, da*db]; gw needs equal local dimensions, checked before any draw
+        draws = []
+        monkeypatch.setitem(polygon.SAMPLERS, sampler, lambda *args: draws.append(args))
         prof = ep.DimensionProfile(dims)
         with pytest.raises(ep.InputError, match=f"{sampler} sampler needs"):
             ep.sample_state(prof, sampler, 1, 0)
         with pytest.raises(ep.InputError, match=f"{sampler} sampler needs"):
             ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler=sampler)
+        assert draws == []
 
     @pytest.mark.parametrize("sampler, dims, text, covered, expected", [
         ("haar", (2, 2), "1|2|3", 3, 2),
@@ -429,6 +434,38 @@ class TestTrialSeedMemo:
             polygon.trial_rng(3, 4).spawn(1)
 
 
+class TestChunkDraw:
+    @pytest.mark.parametrize("sampler, dims", [
+        ("haar", (2, 2, 2)), ("haar", (3, 3, 3)), ("haar", (2, 3, 4)), ("haar", (2, 2, 2, 2)), ("haar", (2,) * 10),
+        ("purification", (3, 3)), ("gw", (3, 3, 3)),
+    ])
+    @pytest.mark.parametrize("chunk_trials", [1, 3, 4])
+    def test_chunk_rows_equal_replays_bit_for_bit(self, monkeypatch, sampler, dims, chunk_trials):
+        prof, trials, seed = ep.DimensionProfile(dims), 10, 29
+        state_profile = ep.sample_state(prof, sampler, seed, 0).profile
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", chunk_trials * state_profile.total_dim)
+        chunks = []
+        real = polygon.SAMPLERS[sampler]
+        monkeypatch.setitem(polygon.SAMPLERS, sampler, lambda *args: chunks.append(real(*args)) or chunks[-1])
+        ep.audit_random(prof, None, ep.GEM, 0.5, trials, seed, sampler=sampler)
+        # at least three chunks, the last one partial unless chunk_trials == 1
+        full, rest = divmod(trials, chunk_trials)
+        assert [len(rows) for rows in chunks] == [chunk_trials] * full + [rest] * (rest > 0)
+        rows = np.concatenate(chunks)
+        for t, row in enumerate(rows):
+            assert row.tobytes() == ep.sample_state(prof, sampler, seed, t).amplitudes.tobytes()
+            if sampler == "haar":
+                ref = ep.haar_random_ket(prof, np.random.SeedSequence([seed, t]))
+                assert row.tobytes() == ref.amplitudes.tobytes()
+
+    def test_replay_is_the_one_row_draw(self, monkeypatch):
+        draws = []
+        real = polygon.SAMPLERS["gw"]
+        monkeypatch.setitem(polygon.SAMPLERS, "gw", lambda *args: draws.append(args) or real(*args))
+        psi = ep.sample_state(ep.DimensionProfile((3, 3, 3)), "gw", 4, 7)
+        assert draws == [(psi.profile, 4, range(7, 8))]
+
+
 def _parts(*texts):
     return [None if t is None else ep.Partition.parse(t) for t in texts]
 
@@ -463,8 +500,9 @@ class TestAuditPlan:
     def test_tie_across_a_chunk_boundary_keeps_the_earliest_trial(self, monkeypatch):
         # w(3) is the worse state for both measures; trials 2 | 3 tie across the chunk boundary
         worse, better = ep.named_state("w(3)"), ep.named_state("ghz(3)")
-        monkeypatch.setattr(
-            polygon, "sample_state", lambda profile, sampler, seed, trial: worse if trial in (2, 3, 5) else better
+        monkeypatch.setitem(
+            polygon.SAMPLERS, "haar",
+            lambda profile, seed, trials: np.stack([(worse if t in (2, 3, 5) else better).amplitudes for t in trials]),
         )
         monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 3 * worse.profile.total_dim)
         prof = worse.profile
@@ -506,8 +544,8 @@ class TestAuditPlan:
     )
     def test_bad_input_rejected_before_any_draw(self, monkeypatch, partitions, measures, alphas, extra):
         draws = []
-        real = polygon.sample_state
-        monkeypatch.setattr(polygon, "sample_state", lambda *args: draws.append(args) or real(*args))
+        real = polygon.SAMPLERS["haar"]
+        monkeypatch.setitem(polygon.SAMPLERS, "haar", lambda *args: draws.append(args) or real(*args))
         kwargs = {"trials": 5, **extra}
         trials = kwargs.pop("trials")
         with pytest.raises(ep.InputError):
@@ -523,14 +561,14 @@ class TestAuditPlan:
         with pytest.raises(ep.InputError, match="partition covers 3 parties, expected 2"):
             ep.audit_plan(prof, _parts(None, "1|2|3"), [ep.GEM], [0.5], 5, 1)
 
-    def test_uncovering_partition_rejected_after_one_draw(self, monkeypatch):
+    def test_uncovering_partition_rejected_before_any_draw(self, monkeypatch):
         # the cover check ran per chunk of spectra, so all 5000 trials were drawn first
         draws = []
-        real = polygon.sample_state
-        monkeypatch.setattr(polygon, "sample_state", lambda *args: draws.append(args) or real(*args))
+        real = polygon.SAMPLERS["haar"]
+        monkeypatch.setitem(polygon.SAMPLERS, "haar", lambda *args: draws.append(args) or real(*args))
         with pytest.raises(ep.InputError, match="partition covers 3 parties, expected 2"):
             ep.audit_plan(ep.DimensionProfile((2, 2)), _parts("1|2|3"), [ep.GEM], [0.5], 5000, 1)
-        assert len(draws) == 1
+        assert draws == []
 
 
 class TestEpiReport:

@@ -5,6 +5,7 @@ audit grid and CLI catalogue are the inputs, its reference files the answers.
 """
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -13,12 +14,17 @@ from helpers import load_perfbench
 
 workloads = load_perfbench("workloads")
 
-TRIALS = 3  # the recorded T = 3 sweep; the T = 200 one is the benchmark's own load
+TRIALS = 3  # the recorded T = 3 sweep, one audit_random per target
+LOAD_TRIALS = 200  # the benchmark's own load, one audit_plan per profile
+
+
+def _recorded_audits(trials, master):
+    return json.loads((workloads.REF_DIR / "audit_sweep.json").read_text())["results"][str(trials)][str(master)]
 
 
 @pytest.mark.parametrize("master", workloads.AUDIT_SEEDS)
 def test_audit_sweep_matches_recorded(master):
-    refs = json.loads((workloads.REF_DIR / "audit_sweep.json").read_text())["results"][str(TRIALS)][str(master)]
+    refs = _recorded_audits(TRIALS, master)
     grid = workloads.audit_grid()
     assert sorted(key for key, *_ in grid) == sorted(refs)
     mismatched = [
@@ -27,6 +33,22 @@ def test_audit_sweep_matches_recorded(master):
         if workloads.format_audit(polygon.audit_random(profile, part, kind, alpha, TRIALS, master)) != refs[key]
     ]
     assert mismatched == []
+
+
+@pytest.mark.parametrize("master", workloads.AUDIT_SEEDS)
+def test_audit_load_matches_recorded(master):
+    refs = _recorded_audits(LOAD_TRIALS, master)
+    targets = defaultdict(lambda: (set(), set(), set()))  # profile -> its partitions, measures, alphas
+    for _, profile, part, kind, alpha in workloads.audit_grid():
+        for axis, value in zip(targets[profile], (part, kind, alpha)):
+            axis.add(value)
+    got = {}
+    for profile, (parts, kinds, alphas) in targets.items():
+        for summary in polygon.audit_plan(profile, parts, kinds, alphas, LOAD_TRIALS, master):
+            key = workloads.audit_key(profile.dims, summary.partition, summary.measure, summary.alpha)
+            got[key] = workloads.format_audit(summary)
+    assert len(got) == len(refs) == 312
+    assert [key for key in refs if got.get(key) != refs[key]] == []
 
 
 def test_cli_stdout_matches_recorded():

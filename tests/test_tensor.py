@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
-from entpoly.tensor import MAX_TOTAL_DIM, _near_one, reduced_spectra, sparse_ket
+from entpoly.tensor import MAX_TOTAL_DIM, _haar_rows, _near_one, _unit, reduced_spectra, sparse_ket
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
 SPECTRUM_SUM_TOL = 1e-10
@@ -405,6 +405,40 @@ class TestHaarRandomKet:
             rot = ep.Ket(prof, u @ psi.amplitudes)
             rotated += float(ep.reduced_spectrum(rot, (1,))[0])
         assert abs(plain / trials - rotated / trials) < 0.03
+
+    def test_draw_is_the_normal_pair_scaled_by_its_norm(self):
+        # the first D normals are the real parts, the next D the imaginary parts
+        ref = np.empty(12, complex)
+        ref.real, ref.imag = np.random.default_rng(5).standard_normal((2, 12))
+        ref /= np.linalg.norm(ref)
+        assert haar((3, 4), 5).amplitudes.tobytes() == ref.tobytes()
+
+    def test_block_rows_equal_one_row_draws(self):
+        # row t depends on its own generator alone, whatever the other rows
+        seeds = range(6)
+        rows = _haar_rows(12, [np.random.default_rng(s) for s in seeds])
+        assert rows.shape == (6, 12)
+        for s, row in zip(seeds, rows):
+            assert row.tobytes() == _haar_rows(12, [np.random.default_rng(s)])[0].tobytes()
+            assert row.tobytes() == haar((3, 4), s).amplitudes.tobytes()
+
+
+class TestUnitRule:
+    def test_each_row_scaled_as_if_alone(self):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        alone = [_unit(row.copy(), "row") for row in block]
+        rows = _unit(block.copy(), "rows")
+        assert [r.tobytes() for r in rows] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("bad, norm", [(0.0, "0.0"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_bad_row_rejected_before_any_row_is_divided(self, bad, norm):
+        block = np.ones((3, 4), complex)
+        block[1] = bad
+        before = block.copy()
+        with pytest.raises(ep.InputError, match=f"rows must be finite and not all zero, got norm {norm}"):
+            _unit(block, "rows")
+        assert block.tobytes() == before.tobytes()
 
 
 class TestRandomDensity:

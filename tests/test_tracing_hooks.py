@@ -13,13 +13,14 @@ def test_every_hook_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({layer})"
 
 
-def test_tracer_sees_every_audit_draw():
-    # a sampler table holding haar_random_ket itself would bypass the wrapped binding
+def test_traced_audit_matches_untraced_and_replay_counts_once():
+    # an audit draws whole chunks of rows, with no per-trial call to hook; a replay is one sample_state call
     tracing = load_perfbench("tracing")
     prof = ep.DimensionProfile((2, 2, 2))
+    untraced = ep.audit_random(prof, None, ep.GEM, 1.0, 7, 3)
     with tracing.installed(tracing.Tracer()) as tracer:
-        ep.audit_random(prof, None, ep.GEM, 1.0, 7, 3)
-        ep.audit_trial_report(prof, None, ep.GEM, 1.0, 3, 2)
-    draws = tracer.calls["tensor.haar_random_ket"]
-    assert draws == tracer.calls["polygon.sample_state"]
-    assert draws >= 8  # 7 trials and the replay
+        traced = ep.audit_random(prof, None, ep.GEM, 1.0, 7, 3)
+        replay = ep.audit_trial_report(prof, None, ep.GEM, 1.0, 3, untraced.worst_trial)
+    assert traced == untraced
+    assert tracer.calls["polygon.sample_state"] == 1
+    assert replay.min_residual == untraced.worst_residual
