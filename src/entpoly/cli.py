@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 
 import click
@@ -42,13 +43,16 @@ MAX_GRID_STEPS = 10_000
 
 
 def _format_number(x, digits: int) -> str:
+    """A finite number as text; NaN and inf are an internal error, never printed as a result."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to print the non-finite number {x!r}")
     return format(float(x), f".{digits}g")
 
 
 def json_dumps(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits; -0.0 keeps its sign as a float."""
+    """Deterministic JSON with floats at 17 significant digits; -0.0 keeps its sign as a float, NaN and inf raise."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, float, np.integer, np.floating)):
@@ -80,12 +84,16 @@ def _emit(payload: dict, csv_header: list[str], csv_rows: list[list], fmt: str) 
 def read_state_file(path: str) -> Ket:
     """Load a StateFile: reject norms off by more than 1e-6, rescale beyond NORM_TOL, keep the rest exact."""
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             data = json.load(fp)
     except OSError as exc:
         raise InputError(f"cannot read state file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"state file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"state file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nested array or object
+        raise InputError(f"state file {path!r} nests too deeply: {exc}") from exc
     if not isinstance(data, dict) or "dims" not in data or "amplitudes" not in data:
         raise InputError(f"state file {path!r} must carry 'dims' and 'amplitudes'")
     try:  # InputError is a ValueError, so the profile's own rejections name the file too

@@ -108,8 +108,12 @@ def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.n
         raise InputError(f"a polygon needs at least 2 sides: got measure values of shape {values.shape}")
     if not (values >= 0).all():
         raise InputError("measure values must be non-negative")
-    powered = _powered(values, alpha)
-    return powered.sum(axis=-1, keepdims=True) - 2.0 * powered
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = _powered(values, alpha)
+        residuals = powered.sum(axis=-1, keepdims=True) - 2.0 * powered
+    if not np.isfinite(residuals).all():  # an inf power makes its row's residuals inf or NaN
+        raise InputError(f"alpha = {alpha!r} overflows the powered measure values: no finite residuals")
+    return residuals
 
 
 def epi_report(

@@ -94,27 +94,31 @@ def _array(values, what: str, dtype: type = float) -> np.ndarray:
     return arr
 
 
-def _norm(amp: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float or complex array: the two BLAS dots numpy's `linalg.norm` runs, bit for bit.
+def _norm(amp: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of a float or complex ket or (T, D) stack.
 
-    The dots run on the strided `.real` and `.imag` views; contiguous copies
-    would sum in another order and change last bits.
+    Each vector's norm is the two BLAS dots numpy's `linalg.norm` runs, bit for
+    bit: `vecdot` runs them on the strided `.real` and `.imag` views, and
+    contiguous copies would sum in another order and change last bits.  A norm
+    too large for a float is inf, without an overflow warning, for the caller's
+    norm rule to reject.
     """
     re, im = amp.real, amp.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _unit(values: np.ndarray, what: str) -> np.ndarray:
-    """The rule for scaling to unit norm: each row of a fresh 1-D or 2-D array, divided in place by its `_norm`.
+    """The rule for scaling to unit norm: each last-axis vector of a fresh array, divided in place by its `_norm`.
 
-    Returns `values`.  A zero or non-finite norm is rejected before dividing, so
-    0/0 and inf/inf never warn.
+    Returns `values`.  A zero or non-finite norm is rejected, naming the first,
+    before any vector is divided, so 0/0 and inf/inf never warn.
     """
-    norms = [_norm(row) for row in values] if values.ndim == 2 else [_norm(values)]
-    for nrm in norms:
-        if not 0.0 < nrm < math.inf:
-            raise InputError(f"{what} must be finite and not all zero, got norm {nrm}")
-    values /= norms[0] if len(norms) == 1 else np.array(norms)[:, None]
+    norms = _norm(values)
+    ok = (0.0 < norms) & (norms < math.inf)
+    if not ok.all():
+        raise InputError(f"{what} must be finite and not all zero, got norm {norms[~ok].flat[0]}")
+    values /= norms[..., None]
     return values
 
 

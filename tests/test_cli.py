@@ -124,6 +124,23 @@ class TestEpiCheckCommand:
         assert res.stdout == ""
 
 
+class TestHugeAlpha:
+    # each printed numpy overflow warnings and a verdict on "residuals": [nan, inf, inf] (not JSON);
+    # epi-check exited 1 and sweep 0
+    @pytest.mark.parametrize("args", [
+        ["epi-check", "--state", "gallery:example2", "--measure", "negativity", "--alpha", "1e308"],
+        ["sweep", "--values", "0.5,4,1", "--alpha-max", "1e308", "--steps", "3"],
+        ["audit", "--dims", "2,2", "--sampler", "purification", "--measure", "negativity", "--trials", "3",
+         "--alpha", "1e308"],
+    ], ids=["epi-check", "sweep", "audit"])
+    def test_overflowing_alpha_exits_2(self, runner, args):
+        res = run(runner, *args, "--allow-unproven-alpha")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1].startswith("error: alpha = ")
+        assert "overflows the powered measure values" in res.stderr
+
+
 class TestSweepCommand:
     def test_example1_paper_values_at_one(self, runner):
         res = run(runner, "sweep", "--state", "gallery:example1-paper-values",
@@ -392,6 +409,24 @@ class TestStateFiles:
             assert str(path) in res.stderr
 
 
+    @pytest.mark.parametrize("content, message", [
+        # exited 3 with "internal error: UnicodeDecodeError"
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        # the same through json's RecursionError
+        (b"[" * 100_000, "nests too deeply"),
+        # the squared norm 1e400 overflowed in `_norm`'s dot with a RuntimeWarning before exit 2
+        (b'{"dims": [2], "amplitudes": [[1e200, 0], [0, 0]]}', "norm inf is too far from 1"),
+    ], ids=["not-utf8", "deep", "huge-amplitude"])
+    def test_unreadable_content_exits_2(self, runner, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        res = run(runner, "measure", "--state", str(path), "--measure", "gem")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == res.stderr.splitlines()[0] + "\n"
+        assert res.stderr.startswith(f"error: state file {str(path)!r} ") and message in res.stderr
+
+
 class TestExitCodes:
     """The group boundary: verdict 0/1, input error 2, internal error 3, click's own codes."""
 
@@ -441,6 +476,20 @@ class TestJsonSerialization:
     def test_deterministic(self):
         payload = {"a": 1.0, "b": [True, None, "x"], "c": {"d": 0.1}}
         assert json_dumps(payload) == json_dumps(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
+    def test_non_finite_numbers_refused(self, bad):
+        # printed the tokens nan and inf, which strict JSON parsers reject
+        with pytest.raises(ValueError, match="non-finite"):
+            json_dumps({"residuals": [0.5, bad]})
+
+    def test_non_finite_output_is_an_internal_error(self, runner, monkeypatch):
+        monkeypatch.setattr("entpoly.cli.one_to_rest_values", lambda *args: np.array([0.5, math.nan]))
+        for fmt in ("json", "csv"):
+            res = run(runner, "measure", "--state", "gallery:bell", "--measure", "gem", "--format", fmt)
+            assert res.exit_code == 3
+            assert res.stdout == ""
+            assert res.stderr.startswith("internal error: ValueError: refusing to print the non-finite number")
 
 
 def test_cli_import_leaves_numpy_random_unimported():

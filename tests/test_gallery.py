@@ -73,6 +73,12 @@ def test_all_zero_coefficients_rejected(build):
         build(np.zeros(5))
 
 
+def test_huge_acin_coefficients_rejected_without_warning():
+    # the squared norm 1e400 overflowed in `_norm`'s dot with a RuntimeWarning before it was rejected
+    with pytest.raises(ep.InputError, match="got norm inf$"):
+        ep.acin_params([1e200, 0, 0, 0, 0])
+
+
 # Every norm, trace and probability sum that must be 1 passes tensor._near_one:
 # each site builds its input with that quantity at s.
 P2 = ep.DimensionProfile((2,))

@@ -92,6 +92,18 @@ class TestResiduals:
         with pytest.raises(ep.InputError):
             ep.epi_residuals([0.5, 0.5], bad, allow_unproven=True)
 
+    @pytest.mark.parametrize("values, alpha", [
+        ([4.0, 1.0, 1.0], 1e308),  # 4^alpha overflows: the residuals were [nan, inf, inf]
+        ([1e308, 1e308], 1.0),  # each power is finite, their sum is not
+    ])
+    def test_overflowing_powers_rejected(self, values, alpha):
+        with pytest.raises(ep.InputError, match="overflows"):
+            ep.epi_residuals(values, alpha, allow_unproven=True)
+
+    def test_underflowing_powers_are_zero(self):
+        # a power below the smallest float is 0, which is the value it rounds to
+        assert_allclose(ep.epi_residuals([0.5, 0.5], 1e308, allow_unproven=True), [0.0, 0.0])
+
     def test_rows_reduce_along_last_axis(self):
         vals = np.random.default_rng(8).random((5, 3))
         vals[1, 2] = 0.0

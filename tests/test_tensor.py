@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entpoly as ep
-from entpoly.tensor import MAX_TOTAL_DIM, _haar_rows, _near_one, _unit, reduced_spectra, sparse_ket
+from entpoly.tensor import MAX_TOTAL_DIM, _haar_rows, _near_one, _norm, _unit, reduced_spectra, sparse_ket
 from helpers import brute_reduced_density, brute_reduced_spectrum, random_unit_vector
 
 SPECTRUM_SUM_TOL = 1e-10
@@ -97,6 +97,15 @@ class TestKetAndDensity:
         # checked before dividing by the norm, so no 0/0 or inf/inf warning either
         with pytest.raises(ep.InputError, match="not all zero"):
             sparse_ket(P222, terms)
+
+    # the squared norm 1e400 overflowed in `_norm`'s dot with a RuntimeWarning before it was rejected
+    @pytest.mark.parametrize("build", [
+        lambda: ep.Ket(ep.DimensionProfile((2,)), [1e200, 0]),
+        lambda: sparse_ket(ep.DimensionProfile((2,)), [((0,), 1e200)]),
+    ], ids=["Ket", "sparse_ket"])
+    def test_huge_finite_amplitudes_rejected_without_warning(self, build):
+        with pytest.raises(ep.InputError, match="got (norm )?inf$"):
+            build()
 
     # a `> tol` test would pass NaN; the complex value is a trace off by 2e-12 in its imaginary part
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1 + 2e-12j], ids=repr)
@@ -423,7 +432,30 @@ class TestHaarRandomKet:
             assert row.tobytes() == haar((3, 4), s).amplitudes.tobytes()
 
 
+# The TestChunkDraw state dimensions (haar (2,2,2) ... (2,)*10, purification
+# (3,3,9), gw (3,3,3)), the smallest ones and 4096: 89,331 rows in all.
+NORM_DIMS = (2, 3, 4, 8, 16, 24, 27, 81, 1024, 4096)
+
+
+def _normal_rows(rng, T, D):
+    """(T, D) complex rows laid out as `_haar_rows` lays them out: strided real and imaginary parts."""
+    z = np.empty((T, D), complex)
+    z.real, z.imag = rng.standard_normal((2, T, D))
+    return z
+
+
 class TestUnitRule:
+    @pytest.mark.parametrize("D", NORM_DIMS)
+    def test_stacked_norms_are_the_per_row_norms_bit_for_bit(self, D):
+        rng = np.random.default_rng(D)
+        stack = _normal_rows(rng, max(16, (1 << 16) // D), D)
+        for rows in (stack, stack.real.copy()):
+            ref = np.array([np.linalg.norm(row) for row in rows])
+            assert _norm(rows).tobytes() == ref.tobytes()
+            assert [_norm(row) for row in rows[:16]] == list(ref[:16])
+            units = _unit(rows.copy(), "rows")
+            assert units.tobytes() == np.array([row / np.linalg.norm(row) for row in rows]).tobytes()
+
     def test_each_row_scaled_as_if_alone(self):
         rng = np.random.default_rng(4)
         block = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
@@ -437,6 +469,20 @@ class TestUnitRule:
         block[1] = bad
         before = block.copy()
         with pytest.raises(ep.InputError, match=f"rows must be finite and not all zero, got norm {norm}"):
+            _unit(block, "rows")
+        assert block.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("first, later, norm", [
+        (0.0, np.inf, "0.0"),
+        (np.inf, 0.0, "inf"),
+        (1e200, 0.0, "inf"),  # a finite row whose norm overflows, without an overflow warning
+    ])
+    def test_first_bad_row_is_named_and_no_row_is_divided(self, first, later, norm):
+        block = _normal_rows(np.random.default_rng(6), 6, 5)
+        block[2], block[4] = 0.0, 0.0
+        block[2, 1], block[4, 3] = first, later
+        before = block.copy()
+        with pytest.raises(ep.InputError, match=f"got norm {norm}$"):
             _unit(block, "rows")
         assert block.tobytes() == before.tobytes()
 
