@@ -24,7 +24,6 @@ from .gallery import EXAMPLE1_PAPER_VALUES, named_state
 from .measures import SPECTRUM_MEASURES, MeasureKind
 from .polygon import (
     SAMPLERS,
-    VIOLATION_TOL,
     _check_alpha,
     alpha_sweep,
     audit_random,
@@ -230,14 +229,13 @@ def cmd_measure(state, partition_text, measure, q, fmt):
 @_measure_option
 @_q_option
 @click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--tolerance", type=float, default=VIOLATION_TOL, show_default=True)
 @_expect_option
 @_unproven_option
 @_format_option
-def cmd_epi_check(state, partition_text, measure, q, alpha, tolerance, expect_violation, allow_unproven, fmt):
+def cmd_epi_check(state, partition_text, measure, q, alpha, expect_violation, allow_unproven, fmt):
     """Check the polygon inequality; exit 0 if it holds, 1 if violated."""
     psi, part, kind = _resolve(state, partition_text, measure, q)
-    report = epi_report(psi, part, kind, alpha, tolerance=tolerance, allow_unproven=allow_unproven)
+    report = epi_report(psi, part, kind, alpha, allow_unproven=allow_unproven)
     payload = {
         "command": "epi-check",
         "state": state,
@@ -313,20 +311,15 @@ def cmd_sweep(state, values_text, partition_text, measure, q, block, alpha_min, 
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--tolerance", type=float, default=VIOLATION_TOL, show_default=True)
 @_expect_option
 @_unproven_option
 @_format_option
-def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, tolerance,
-              expect_violation, allow_unproven, fmt):
+def cmd_audit(dims, partition_text, measure, q, sampler, trials, seed, alpha, expect_violation, allow_unproven, fmt):
     """Randomized polygon audit; violations where the inequality is proven exit 1."""
     profile = _parse_dims(dims)
     part = None if partition_text is None else Partition.parse(partition_text)
     kind = MeasureKind(measure, q)
-    summary = audit_random(
-        profile, part, kind, alpha, trials, seed,
-        sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
-    )
+    summary = audit_random(profile, part, kind, alpha, trials, seed, sampler=sampler, allow_unproven=allow_unproven)
     payload = {
         "command": "audit",
         "dims": list(profile.dims),

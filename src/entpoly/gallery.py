@@ -143,7 +143,8 @@ class GWSpec:
         c = np.atleast_2d(_array(self.coeffs, "GW coefficients", complex))
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InputError("GW coefficients must form an n x d matrix")
-        _near_one(float(np.sum(np.abs(c) ** 2)), "GW coefficient square sum")
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, for `_near_one` to reject
+            _near_one(float(np.sum(np.abs(c) ** 2)), "GW coefficient square sum")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -166,12 +167,7 @@ class GWSpec:
 def gw_spec(coeffs) -> GWSpec:
     """Build a GWSpec from an unnormalized coefficient matrix."""
     c = np.atleast_2d(_array(coeffs, "GW coefficients", complex))
-    # Not `_unit`: this is the sum `GWSpec` checks and `block_weights` adds up, and
-    # `_norm` rounds differently on about a third of Gaussian draws, moving audit bits.
-    nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    if not 0.0 < nrm < math.inf:
-        raise InputError("GW coefficients must be finite and not all zero")
-    return GWSpec(c / nrm)
+    return GWSpec(_unit(c.reshape(-1), "GW coefficients").reshape(c.shape))
 
 
 def _excitation(n: int, j: int, level: int) -> tuple[int, ...]:
@@ -228,8 +224,8 @@ class ProductPurificationSpec:
             vec = _array(getattr(self, field_name), f"spectrum {field_name}")
             if vec.ndim != 1 or vec.size < 2:
                 raise InputError(f"spectrum {field_name} must be a vector of 2 or more entries, got shape {vec.shape}")
-            if np.any(vec < 0):
-                raise InputError(f"spectrum {field_name} must be a non-negative vector")
+            if not ((0 <= vec) & (vec <= 1)).all():  # so the sum cannot overflow
+                raise InputError(f"spectrum {field_name} entries must lie in [0, 1]")
             _near_one(vec.sum(), f"spectrum {field_name} sum")
             vec.flags.writeable = False
             object.__setattr__(self, field_name, vec)

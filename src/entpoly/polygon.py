@@ -59,10 +59,6 @@ def _check_alpha(alpha: float, allow_unproven: bool, what: str = "alpha") -> flo
     return _real(alpha, what, 0.0, math.inf if allow_unproven else 1.0, lo_open=True, hi_open=allow_unproven)
 
 
-def _check_tolerance(tolerance: float) -> float:
-    return _real(tolerance, "tolerance", 0.0, math.inf, hi_open=True)
-
-
 @dataclass(frozen=True)
 class EpiReport:
     """One polygon-inequality evaluation: values, residuals, verdict."""
@@ -122,11 +118,9 @@ def epi_report(
     measure: MeasureKind,
     alpha: float,
     *,
-    tolerance: float = VIOLATION_TOL,
     allow_unproven: bool = False,
 ) -> EpiReport:
     """Evaluate the polygon inequality for one state, partition and exponent."""
-    tolerance = _check_tolerance(tolerance)
     values = one_to_rest_values(psi, partition, measure)
     residuals = epi_residuals(values, alpha, allow_unproven=allow_unproven)
     min_residual = float(residuals.min())
@@ -137,7 +131,7 @@ def epi_report(
         values=tuple(float(v) for v in values),
         residuals=tuple(float(r) for r in residuals),
         min_residual=min_residual,
-        holds=min_residual >= -tolerance,
+        holds=min_residual >= -VIOLATION_TOL,
     )
 
 
@@ -308,15 +302,12 @@ def audit_trial_report(
     trial: int,
     *,
     sampler: str = "haar",
-    tolerance: float = VIOLATION_TOL,
     allow_unproven: bool = False,
 ) -> EpiReport:
     """Replay a single audit trial from its derived seed."""
     psi = sample_state(profile, sampler, seed, trial)
     partition = Partition.singletons(psi.profile.n) if partition is None else partition
-    return epi_report(
-        psi, partition, measure, alpha, tolerance=tolerance, allow_unproven=allow_unproven
-    )
+    return epi_report(psi, partition, measure, alpha, allow_unproven=allow_unproven)
 
 
 def audit_plan(
@@ -328,7 +319,6 @@ def audit_plan(
     seed: int,
     *,
     sampler: str = "haar",
-    tolerance: float = VIOLATION_TOL,
     allow_unproven: bool = False,
 ) -> list[AuditSummary]:
     """Audit every (partition, measure, alpha) target on the same `trials` sampled states.
@@ -344,7 +334,6 @@ def audit_plan(
     if not (partitions and measures and alphas):
         raise InputError("an audit needs at least one partition, one measure and one alpha")
     alphas = [_check_alpha(alpha, allow_unproven) for alpha in alphas]
-    tolerance = _check_tolerance(tolerance)
     draw = _choice(SAMPLERS, sampler, "sampler")
     state_profile = _state_profile(profile, sampler)
     partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
@@ -363,7 +352,7 @@ def audit_plan(
                 for alpha in alphas:
                     mins.append(epi_residuals(values, alpha, allow_unproven=allow_unproven).min(axis=-1))
         for tally, trial_mins in zip(tallies, mins):
-            tally[0] += int(np.count_nonzero(trial_mins < -tolerance))
+            tally[0] += int(np.count_nonzero(trial_mins < -VIOLATION_TOL))
             worst = int(np.argmin(trial_mins))
             if trial_mins[worst] < tally[1]:  # strict: an earlier chunk keeps its ties
                 tally[1:] = float(trial_mins[worst]), start + worst
@@ -382,11 +371,10 @@ def audit_random(
     seed: int,
     *,
     sampler: str = "haar",
-    tolerance: float = VIOLATION_TOL,
     allow_unproven: bool = False,
 ) -> AuditSummary:
     """Run `trials` independent polygon checks on randomly sampled states: one `audit_plan` target."""
     return audit_plan(
         profile, [partition], [measure], [alpha], trials, seed,
-        sampler=sampler, tolerance=tolerance, allow_unproven=allow_unproven,
+        sampler=sampler, allow_unproven=allow_unproven,
     )[0]

@@ -211,10 +211,12 @@ class DensityOp:
         if mat.shape != (D, D):
             raise InputError(f"expected a {D}x{D} matrix for dims {self.profile.dims}")
         adjoint = mat.conj().T
-        herm_dev = float(np.max(np.abs(mat - adjoint)))
+        with np.errstate(over="ignore"):  # an overflowing deviation or trace is inf, for its check to reject
+            herm_dev = float(np.max(np.abs(mat - adjoint)))
+            trace = complex(np.trace(mat))
         if herm_dev > HERMITIAN_TOL:
             raise InputError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-        _near_one(complex(np.trace(mat)), "density trace")
+        _near_one(trace, "density trace")
         mat += adjoint  # adjoint is a fresh array (conj copies), so this does not alias
         mat /= 2
         lo = float(np.min(np.linalg.eigvalsh(mat)))
@@ -326,15 +328,19 @@ def reduced_spectrum(psi: Ket, block: Iterable[int]) -> np.ndarray:
 
 
 def schatten_norm(M: np.ndarray, p: float) -> float:
-    """Schatten p-norm (p-norm of the singular values); p = inf is the largest one."""
+    """Schatten p-norm (p-norm of the singular values); p = inf is the largest one.
+
+    Scaled by the largest singular value s_0, s_0 (sum (s/s_0)^p)^(1/p), so no power overflows.
+    """
     p = _real(p, "Schatten p", 1.0, math.inf)
     M = _array(M, "Schatten norm matrix entries", complex)
     if M.ndim != 2:
         raise InputError(f"Schatten norm needs a matrix, got shape {M.shape}")
     s = np.linalg.svd(M, compute_uv=False)
-    if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    top = float(s[0]) if s.size else 0.0
+    if math.isinf(p) or top == 0.0:
+        return top
+    return top * float(np.sum((s / top) ** p) ** (1.0 / p))
 
 
 def _haar_rows(D: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -116,13 +116,6 @@ class TestEpiCheckCommand:
             res = run(runner, "epi-check", "--state", "gallery:ghz(3)", "--measure", "gem", "--alpha", bad)
             assert res.exit_code == 2, bad
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
-    def test_bad_tolerance_exits_2(self, runner, bad):
-        res = run(runner, "epi-check", "--state", "gallery:example2", "--measure", "negativity",
-                  "--tolerance", bad)
-        assert res.exit_code == 2
-        assert res.stdout == ""
-
 
 class TestHugeAlpha:
     # each printed numpy overflow warnings and a verdict on "residuals": [nan, inf, inf] (not JSON);
@@ -295,14 +288,6 @@ class TestAuditCommand:
         assert res.exit_code == 2
         assert "takes no q" in res.stderr
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_bad_tolerance_exits_2(self, runner, bad):
-        # every trial violates (worst residual about -1.96), yet the parent counted 0 violations
-        res = run(runner, "audit", "--dims", "3,3", "--sampler", "purification", "--measure", "negativity",
-                  "--trials", "50", "--tolerance", bad)
-        assert res.exit_code == 2
-        assert res.stdout == ""
-
 
 class TestIndicatorCommand:
     def test_ghz(self, runner):
@@ -457,6 +442,18 @@ class TestExitCodes:
         res = run(runner, *args)
         assert res.exit_code == 2
         assert "Usage:" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["epi-check", "--state", "gallery:example2", "--measure", "negativity"],
+        ["audit", "--dims", "2,2", "--measure", "gem", "--trials", "3"],
+    ], ids=["epi-check", "audit"])
+    def test_violation_threshold_is_no_option(self, runner, args):
+        # the threshold is the constant polygon.VIOLATION_TOL; a NaN or infinite --tolerance once flipped verdicts
+        res = run(runner, *args, "--tolerance", "0.5")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "No such option" in res.stderr and "--tolerance" in res.stderr
+        assert "--tolerance" not in run(runner, args[0], "--help").stdout
 
 
 class TestJsonSerialization:

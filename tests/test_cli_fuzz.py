@@ -32,7 +32,6 @@ GALLERY = (
 ALPHAS = (["1", "0.5", "0.01", "0.99", "1.5", "2", "1e308", "1e-308", "5e-324"],
           ["0", "-1", "nan", "inf", "-inf", "x", ""])
 QS = (["2", "1.7", "1", "1e308"], ["0.5", "-1", "nan", "inf", "x"])
-TOLERANCES = (["1e-9", "0", "0.5", "1e308"], ["-1", "nan", "inf", "x"])
 PARTITIONS = (["1|2", "1|2|3", "1,2|3", "1|2,3", "1|2|3|4", "1|2,3|4", "1,2,3|4", " 1 | 2 "],
               ["1|1", "1|", "", "a|b", "0|1", "1|3", "1|2|3|4|5", "99999999999999999999|1"])
 VALUES = (["0.5,0.5", "0.5,4,1", "0.36,0.76,0.56", "1e-320,1", "0,0", "1e308,1e-308,1"],
@@ -83,12 +82,11 @@ def _argv(rng: random.Random, states: tuple[list[str], list[str]]) -> list[str]:
     pools = {
         "measure": {"--state": states, "--partition": PARTITIONS, "--measure": MEASURES, "--q": QS},
         "epi-check": {"--state": states, "--partition": PARTITIONS, "--measure": MEASURES, "--q": QS,
-                      "--alpha": ALPHAS, "--tolerance": TOLERANCES},
+                      "--alpha": ALPHAS},
         "sweep": {"--state": states, "--values": VALUES, "--partition": PARTITIONS, "--measure": MEASURES,
                   "--q": QS, "--block": BLOCKS, "--alpha-min": ALPHAS, "--alpha-max": ALPHAS, "--steps": STEPS},
         "audit": {"--dims": DIMS, "--partition": PARTITIONS, "--measure": MEASURES, "--q": QS,
-                  "--sampler": SAMPLERS, "--trials": TRIALS, "--seed": SEEDS, "--alpha": ALPHAS,
-                  "--tolerance": TOLERANCES},
+                  "--sampler": SAMPLERS, "--trials": TRIALS, "--seed": SEEDS, "--alpha": ALPHAS},
         "indicator": {"--state": states, "--alpha": ALPHAS},
     }[command]
     # --trials too, as its default of 1000 would dominate the budget

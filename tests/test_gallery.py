@@ -100,6 +100,19 @@ def test_unit_quantity_within_norm_tol_of_one(build, side):
         build(1.0 + side * 2.0 * ep.NORM_TOL)
 
 
+# Each sum, trace or deviation overflowed with a RuntimeWarning before it was rejected.
+@pytest.mark.parametrize("build, message", [
+    (lambda: ep.gw_spec([[1e200, 0]]), "got norm inf$"),
+    (lambda: ep.GWSpec([[1e200], [1]]), "got inf$"),
+    (lambda: ep.ProductPurificationSpec([1e308, 1e308], [0.5, 0.5]), r"in \[0, 1\]"),
+    (lambda: ep.DensityOp(P2, np.diag([1e308, 1e308])), r"got \(inf\+0j\)$"),
+    (lambda: ep.DensityOp(P2, [[0.5, 1e308], [-1e308, 0.5]]), r"not Hermitian \(max deviation inf\)"),
+], ids=["gw_spec", "GWSpec", "ProductPurificationSpec", "DensityOp trace", "DensityOp deviation"])
+def test_overflow_rejected_without_warning(build, message):
+    with pytest.raises(ep.InputError, match=message):
+        build()
+
+
 class TestAcinSpectra:
     def test_ghz_pairs(self):
         s = 1 / math.sqrt(2)

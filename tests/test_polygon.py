@@ -344,15 +344,6 @@ class TestAudit:
         with pytest.raises(ep.InputError, match=message):
             ep.audit_trial_report(prof, part, ep.NEGATIVITY, 1.0, 1, 0, sampler=sampler)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
-    def test_bad_tolerance_rejected(self, bad):
-        # every purification trial violates; a NaN or infinite tolerance counted none
-        prof = ep.DimensionProfile((3, 3))
-        with pytest.raises(ep.InputError, match="tolerance"):
-            ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler="purification", tolerance=bad)
-        assert ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler="purification",
-                               tolerance=0.0).violations == 5
-
     @pytest.mark.parametrize("sampler", polygon.SAMPLERS)
     def test_negative_seed_or_trial_rejected(self, sampler):
         # numpy's SeedSequence raised a plain ValueError, which the CLI reports as an internal error
@@ -550,7 +541,6 @@ class TestAuditPlan:
             ([None], [ep.GEM], [0.5, 0.0], {"allow_unproven": True}),
             ([None], [ep.GEM], [0.5, "0.5"], {}),
             ([None], [ep.GEM], [0.5, 1.5], {}),
-            ([None], [ep.GEM], [0.5], {"tolerance": -1.0}),
             ([None], [ep.GEM], [0.5], {"trials": 0}),
         ],
     )
@@ -597,12 +587,20 @@ class TestEpiReport:
         report = ep.epi_report(psi, ep.Partition.parse("1|2,3|4"), ep.NEGATIVITY, 1.0)
         assert report.holds is True
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_bad_tolerance_rejected(self, bad):
-        # example2 violates by 2; an infinite tolerance reported that it holds
-        psi = ep.named_state("example2")
-        with pytest.raises(ep.InputError, match="tolerance"):
-            ep.epi_report(psi, ep.Partition.singletons(3), ep.NEGATIVITY, 1.0, tolerance=bad)
+
+@pytest.mark.parametrize("threshold, holds", [(2.0, True), (1.999, False)])
+def test_every_verdict_reads_violation_tol_at_call_time(monkeypatch, threshold, holds):
+    # example2's negativity residuals at alpha = 1 are exactly (-2, 4, 4)
+    monkeypatch.setattr(polygon, "VIOLATION_TOL", threshold)
+    psi = ep.named_state("example2")
+    assert ep.epi_report(psi, ep.Partition.singletons(3), ep.NEGATIVITY, 1.0).holds is holds
+    monkeypatch.setitem(
+        polygon.SAMPLERS, "haar", lambda profile, seed, trials: np.stack([psi.amplitudes] * len(trials))
+    )
+    summary = ep.audit_random(psi.profile, None, ep.NEGATIVITY, 1.0, 5, seed=1)
+    assert summary.violations == (0 if holds else 5)
+    res = CliRunner().invoke(main, ["epi-check", "--state", "gallery:example2", "--measure", "negativity"])
+    assert res.exit_code == (0 if holds else 1)
 
 
 # Every real-valued parameter goes through tensor._real: float() alone would
@@ -610,7 +608,6 @@ class TestEpiReport:
 REAL_PARAMETERS = {
     "qconcurrence q": ep.q_concurrence_kind,
     "alpha": lambda v: ep.epi_residuals([0.5, 0.25], v, allow_unproven=True),
-    "tolerance": lambda v: ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, 2, 1, tolerance=v),
     "indicator alpha": lambda v: ep.indicator_delta(ep.named_state("w(3)"), v),
     "alpha grid entry": lambda v: ep.alpha_sweep([0.5, 0.25], [v], allow_unproven=True),
     "Schatten p": lambda v: ep.schatten_norm(np.diag([3.0, 4.0]), v),

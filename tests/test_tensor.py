@@ -349,6 +349,12 @@ class TestSchattenNorm:
             for lo, hi in zip(norms[1:], norms[:-1]):
                 assert lo <= hi + 1e-12
 
+    def test_huge_singular_values_do_not_overflow(self):
+        # s**p overflowed to inf with a RuntimeWarning; scaling by the largest singular value keeps it finite
+        big = ep.schatten_norm(np.diag([1e300, 1e300]), 2)
+        assert abs(big - math.sqrt(2) * 1e300) <= 1e-15 * math.sqrt(2) * 1e300
+        assert ep.schatten_norm(np.zeros((3, 3)), 2) == 0.0
+
     def test_infinity_is_largest_singular_value(self):
         M = np.diag([3.0, 4.0])
         assert abs(ep.schatten_norm(M, math.inf) - 4.0) < 1e-12
