@@ -116,6 +116,15 @@ class TestEpiCheckCommand:
             res = run(runner, "epi-check", "--state", "gallery:ghz(3)", "--measure", "gem", "--alpha", bad)
             assert res.exit_code == 2, bad
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, runner, bad):
+        # --tolerance is gone (the threshold is polygon.VIOLATION_TOL): still a usage error, with no verdict
+        res = run(runner, "epi-check", "--state", "gallery:example2", "--measure", "negativity",
+                  "--tolerance", bad)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "No such option" in res.stderr
+
 
 class TestHugeAlpha:
     # each printed numpy overflow warnings and a verdict on "residuals": [nan, inf, inf] (not JSON);
@@ -287,6 +296,16 @@ class TestAuditCommand:
         res = run(runner, "audit", "--dims", "2,2", "--measure", "concurrence", "--q", "0.5", "--trials", "3")
         assert res.exit_code == 2
         assert "takes no q" in res.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_bad_tolerance_exits_2(self, runner, bad):
+        # every trial violates (worst residual about -1.96), yet a NaN or infinite --tolerance once counted
+        # 0 violations; the option is gone, so it is a usage error with no summary
+        res = run(runner, "audit", "--dims", "3,3", "--sampler", "purification", "--measure", "negativity",
+                  "--trials", "50", "--tolerance", bad)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "No such option" in res.stderr
 
 
 class TestIndicatorCommand:

@@ -541,6 +541,7 @@ class TestAuditPlan:
             ([None], [ep.GEM], [0.5, 0.0], {"allow_unproven": True}),
             ([None], [ep.GEM], [0.5, "0.5"], {}),
             ([None], [ep.GEM], [0.5, 1.5], {}),
+            ([None], [ep.GEM], [0.5], {"sampler": "nope"}),
             ([None], [ep.GEM], [0.5], {"trials": 0}),
         ],
     )
