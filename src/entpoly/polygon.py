@@ -7,7 +7,8 @@ kets with one stacked SVD per distinct block: a single state is the T = 1
 case, and an audit draws its (seed, trial) states a chunk of rows at a time,
 so any trial replays bit-exactly alone.  `audit_plan` draws each trial once
 and shares its spectra across every partition, measure and alpha it audits;
-`audit_random` is its single-target case.
+`audit_random` is its single-target case.  The AUDIT_CHUNK_CACHE chunks used
+last keep their rows and spectra for the next audit of the same chunk (`_chunk`).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ MEASURE_FLOOR = 1e-12
 # amplitude memory stays bounded; each target keeps only a running tally.
 AUDIT_CHUNK_ELEMS = 1 << 16
 
-# Entries kept by the per-(seed, trial) seed-word memo, about 330 B each: a
-# memory bound, not a hit-rate target; an audit repeated over at most this many
-# trials draws every state without rehashing its seed.
-TRIAL_SEED_CACHE = 4096
+# Audit chunks kept by the chunk memo (`_chunk`), each at most AUDIT_CHUNK_ELEMS
+# amplitudes plus its block spectra: a memory bound, not a hit-rate target;
+# audits that revisit at most this many chunks draw each one once.
+AUDIT_CHUNK_CACHE = 4
 
 
 def _powered(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -72,17 +73,27 @@ class EpiReport:
     holds: bool
 
 
-def _block_spectra(profile: DimensionProfile, amplitudes, partitions) -> dict:
-    """Block -> (T, d_block) spectra of a (T, D) stack of kets: one stacked SVD per distinct block.
+def _block_spectra(profile: DimensionProfile, amplitudes, partitions, spectra: dict) -> dict:
+    """Fill `spectra`, block -> read-only (T, d_block) spectra of a (T, D) stack of kets, and return it.
 
-    The partitions must already cover the profile (`Partition.validate_for`).
+    One stacked SVD per block not yet in `spectra`.  The partitions must
+    already cover the profile (`Partition.validate_for`).
     """
-    spectra = {}
     for partition in partitions:
         for block in partition.blocks:
             if block not in spectra:
-                spectra[block] = reduced_spectra(profile, amplitudes, block)
+                lam = reduced_spectra(profile, amplitudes, block)
+                # read-only before it is shared; two threads that fill the same
+                # block store equal arrays, so this check-then-set needs no lock
+                lam.flags.writeable = False
+                spectra[block] = lam
     return spectra
+
+
+def _check_measure(measure) -> None:
+    """A measure is a MeasureKind, not its name."""
+    if not isinstance(measure, MeasureKind):
+        raise InputError(f"measure must be a MeasureKind, got {measure!r}")
 
 
 def _block_values(spectra: dict, partition: Partition, measure: MeasureKind) -> np.ndarray:
@@ -93,7 +104,8 @@ def _block_values(spectra: dict, partition: Partition, measure: MeasureKind) -> 
 def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> np.ndarray:
     """Measure each block against its complement, in block order."""
     partition.validate_for(psi.profile.n)
-    return _block_values(_block_spectra(psi.profile, psi.amplitudes, [partition]), partition, measure)[0]
+    _check_measure(measure)
+    return _block_values(_block_spectra(psi.profile, psi.amplitudes, [partition], {}), partition, measure)[0]
 
 
 def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.ndarray:
@@ -204,41 +216,10 @@ class AuditSummary:
         return (self.seed, self.worst_trial)
 
 
-@functools.lru_cache(maxsize=TRIAL_SEED_CACHE)
-def _trial_words(seed: int, trial: int) -> np.ndarray:
-    """The 4 read-only words `SeedSequence([seed, trial])` seeds PCG64 with."""
-    words = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
-    words.flags.writeable = False
-    return words
-
-
-@functools.cache
-def _stored_seed() -> type:
-    """An ISeedSequence that hands PCG64 stored seed words and cannot spawn.
-
-    Defined on first use, so importing the package leaves numpy.random unimported.
-    """
-
-    class StoredSeed(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for exactly the 4 uint64 words stored
-
-    return StoredSeed
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic per-trial generator, independent of execution order.
-
-    Bit for bit `np.random.default_rng(np.random.SeedSequence([seed, trial]))`,
-    with the seed words memoized per (seed, trial).
-    """
-    words = _trial_words(_whole(seed, "seed"), _whole(trial, "trial"))
-    return np.random.Generator(np.random.PCG64(_stored_seed()(words)))
+    """Deterministic per-trial generator, independent of execution order."""
+    seed, trial = _whole(seed, "seed"), _whole(trial, "trial")
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
 def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
@@ -283,6 +264,19 @@ SAMPLERS = {
     "purification": _ket_rows(_purification),
     "gw": _ket_rows(_gw),
 }
+
+
+@functools.lru_cache(maxsize=AUDIT_CHUNK_CACHE)
+def _chunk(draw, state_profile: DimensionProfile, seed: int, start: int, stop: int) -> tuple[np.ndarray, dict]:
+    """The read-only rows `draw` gives trials start..stop-1, and the block -> spectra dict `_block_spectra` fills.
+
+    Keyed by the sampler function itself, so a replaced SAMPLERS entry never
+    gets another sampler's rows.  Only draws and spectra are kept: every
+    value, residual and tally is computed again on each audit.
+    """
+    amplitudes = draw(state_profile, seed, range(start, stop))
+    amplitudes.flags.writeable = False
+    return amplitudes, {}
 
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
@@ -334,6 +328,8 @@ def audit_plan(
     if not (partitions and measures and alphas):
         raise InputError("an audit needs at least one partition, one measure and one alpha")
     alphas = [_check_alpha(alpha, allow_unproven) for alpha in alphas]
+    for measure in measures:
+        _check_measure(measure)
     draw = _choice(SAMPLERS, sampler, "sampler")
     state_profile = _state_profile(profile, sampler)
     partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
@@ -343,8 +339,8 @@ def audit_plan(
     tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
     for start in range(0, trials, chunk):
-        amplitudes = draw(state_profile, seed, range(start, min(start + chunk, trials)))
-        spectra = _block_spectra(state_profile, amplitudes, partitions)
+        amplitudes, spectra = _chunk(draw, state_profile, seed, start, min(start + chunk, trials))
+        _block_spectra(state_profile, amplitudes, partitions, spectra)
         mins = []  # per target, in `targets` order: each trial's minimum residual
         for partition in partitions:
             for measure in measures:

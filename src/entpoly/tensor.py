@@ -217,8 +217,11 @@ class DensityOp:
         if herm_dev > HERMITIAN_TOL:
             raise InputError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         _near_one(trace, "density trace")
-        mat += adjoint  # adjoint is a fresh array (conj copies), so this does not alias
-        mat /= 2
+        # adjoint is a fresh array (conj copies), so this does not alias; halving
+        # each side first is exact for normal floats and cannot overflow
+        mat *= 0.5
+        adjoint *= 0.5
+        mat += adjoint
         lo = float(np.min(np.linalg.eigvalsh(mat)))
         if lo < -PSD_TOL:
             raise InputError(f"matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")

@@ -107,7 +107,8 @@ def test_unit_quantity_within_norm_tol_of_one(build, side):
     (lambda: ep.ProductPurificationSpec([1e308, 1e308], [0.5, 0.5]), r"in \[0, 1\]"),
     (lambda: ep.DensityOp(P2, np.diag([1e308, 1e308])), r"got \(inf\+0j\)$"),
     (lambda: ep.DensityOp(P2, [[0.5, 1e308], [-1e308, 0.5]]), r"not Hermitian \(max deviation inf\)"),
-], ids=["gw_spec", "GWSpec", "ProductPurificationSpec", "DensityOp trace", "DensityOp deviation"])
+    (lambda: ep.DensityOp(P2, [[0.5, 1e308], [1e308, 0.5]]), r"eigenvalue -1\.000e\+308 below"),
+], ids=["gw_spec", "GWSpec", "ProductPurificationSpec", "DensityOp trace", "DensityOp deviation", "DensityOp sum"])
 def test_overflow_rejected_without_warning(build, message):
     with pytest.raises(ep.InputError, match=message):
         build()

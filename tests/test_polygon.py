@@ -3,8 +3,10 @@
 import itertools
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -385,56 +387,122 @@ def _seed_sequence_rng(seed, trial):
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-class TestTrialSeedMemo:
-    def test_stream_equals_the_seed_sequence_cold_and_warm(self):
-        polygon._trial_words.cache_clear()
+def _parts(*texts):
+    return [None if t is None else ep.Partition.parse(t) for t in texts]
+
+
+def _shuffled_audits(seed):
+    """Small single-target audits over every sampler, two master seeds, in a shuffled order."""
+    audits = [
+        (ep.DimensionProfile(dims), part, kind, alpha, trials, master, sampler)
+        for sampler, dims, part in [
+            ("haar", (2, 2, 2), None),
+            ("haar", (2, 3, 4), *_parts("1,3|2")),
+            ("haar", (2, 2, 2, 2), *_parts("1|2|3,4")),
+            ("purification", (2, 3), None),
+            ("gw", (3, 3, 3), *_parts("1|2,3")),
+        ]
+        for kind in (ep.GEM, ep.CONCURRENCE)
+        for alpha in (0.5, 1.0)
+        for trials, master in ((7, 1), (12, 2))
+    ]
+    order = np.random.default_rng(seed).permutation(len(audits))
+    return [audits[i] for i in order]
+
+
+def _run_audit(audit):
+    prof, part, kind, alpha, trials, master, sampler = audit
+    return ep.audit_random(prof, part, kind, alpha, trials, master, sampler=sampler)
+
+
+class TestChunkMemo:
+    def test_trial_rng_is_the_seed_sequence_stream(self):
         for seed, trial in itertools.product(WIDE_WORDS, repeat=2):
-            for _ in ("cold", "warm"):
-                rng, ref = polygon.trial_rng(seed, trial), _seed_sequence_rng(seed, trial)
-                assert rng.bit_generator.state == ref.bit_generator.state
-                assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
-                assert np.array_equal(rng.integers(0, 2**63, 8), ref.integers(0, 2**63, 8))
-        info = polygon._trial_words.cache_info()
-        assert (info.misses, info.hits) == (25, 25)
+            rng, ref = polygon.trial_rng(seed, trial), _seed_sequence_rng(seed, trial)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+            assert np.array_equal(rng.integers(0, 2**63, 8), ref.integers(0, 2**63, 8))
 
-    def test_memo_stays_within_its_bound(self):
-        polygon._trial_words.cache_clear()
-        bound = polygon.TRIAL_SEED_CACHE
-        ep.audit_random(ep.DimensionProfile((2, 2)), None, ep.GEM, 1.0, bound + 100, seed=8)
-        info = polygon._trial_words.cache_info()
-        assert info.maxsize == bound
-        assert info.currsize == bound
+    @pytest.mark.parametrize("sampler, dims", [("haar", (2, 3)), ("purification", (2, 3)), ("gw", (3, 3, 3))])
+    def test_audit_equal_cold_warm_and_cleared(self, monkeypatch, sampler, dims):
+        prof = ep.DimensionProfile(dims)
+        state_dim = ep.sample_state(prof, sampler, 0, 0).profile.total_dim
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 4 * state_dim)  # 3 chunks, the last one partial
+        args = (prof, None, ep.CONCURRENCE, 0.5, 10, 11)
+        cold = ep.audit_random(*args, sampler=sampler)
+        assert polygon._chunk.cache_info()[:2] == (0, 3)  # hits, misses
+        warm = ep.audit_random(*args, sampler=sampler)
+        assert polygon._chunk.cache_info()[:2] == (3, 3)
+        polygon._chunk.cache_clear()
+        assert cold == warm == ep.audit_random(*args, sampler=sampler)
+        mins = [ep.audit_trial_report(prof, None, ep.CONCURRENCE, 0.5, 11, t, sampler=sampler).min_residual
+                for t in range(10)]
+        assert (cold.worst_residual, cold.worst_trial) == (min(mins), mins.index(min(mins)))
 
-    def test_audit_equal_with_cold_warm_and_no_memo(self, monkeypatch):
-        prof = ep.DimensionProfile((2, 3))
-        polygon._trial_words.cache_clear()
-        cold = ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
-        warm = ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
-        monkeypatch.setattr(polygon, "trial_rng", _seed_sequence_rng)
-        assert cold == warm == ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=11)
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        prof = ep.DimensionProfile((2, 2))
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 4 * prof.total_dim)
+        bound = polygon.AUDIT_CHUNK_CACHE
+        ep.audit_random(prof, None, ep.GEM, 1.0, 4 * (bound + 10), seed=8)
+        info = polygon._chunk.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 10)
 
-    def test_memo_memory_within_budget(self):
-        polygon.trial_rng(0, 0)  # builds the stored-seed type outside the trace
-        polygon._trial_words.cache_clear()
-        bound = polygon.TRIAL_SEED_CACHE
-        tracemalloc.start()
+    def test_retained_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        prof = ep.DimensionProfile((2, 2))
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 4 * prof.total_dim)
+        ep.audit_random(prof, None, ep.GEM, 1.0, 4000, seed=3)  # warms numpy's internal caches
+        retained = []
+        for trials in (40, 4000):
+            polygon._chunk.cache_clear()
+            tracemalloc.start()
+            try:
+                ep.audit_random(prof, None, ep.GEM, 1.0, trials, seed=3)
+                retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert polygon._chunk.cache_info().currsize == polygon.AUDIT_CHUNK_CACHE
+        assert abs(retained[1] - retained[0]) < 4 * 1024
+
+    @pytest.mark.parametrize("sampler, dims", [("haar", (2, 2, 2)), ("purification", (2, 2)), ("gw", (3, 3, 3))])
+    def test_memoized_rows_and_spectra_are_read_only(self, sampler, dims):
+        prof = ep.DimensionProfile(dims)
+        summary = ep.audit_random(prof, None, ep.GEM, 0.5, 5, seed=4, sampler=sampler)
+        state_profile = ep.sample_state(prof, sampler, 4, 0).profile
+        rows, spectra = polygon._chunk(polygon.SAMPLERS[sampler], state_profile, 4, 0, 5)
+        assert polygon._chunk.cache_info()[:2] == (1, 1)  # the audit's own chunk, not a fresh draw
+        assert sorted(spectra) == sorted(summary.partition.blocks)
+        for array in (rows, *spectra.values()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
+    def test_replaced_sampler_is_never_served_real_rows(self, monkeypatch):
+        psi = ep.named_state("w(3)")
+        prof, part = psi.profile, ep.Partition.singletons(3)
+        real = ep.audit_random(prof, None, ep.GEM, 0.5, 5, seed=1)
+        monkeypatch.setitem(
+            polygon.SAMPLERS, "haar", lambda profile, seed, trials: np.stack([psi.amplitudes] * len(trials))
+        )
+        fake = ep.audit_random(prof, None, ep.GEM, 0.5, 5, seed=1)
+        assert (fake.worst_residual, fake.worst_trial) == (ep.epi_report(psi, part, ep.GEM, 0.5).min_residual, 0)
+        assert fake.worst_residual != real.worst_residual
+        monkeypatch.undo()
+        assert ep.audit_random(prof, None, ep.GEM, 0.5, 5, seed=1) == real
+
+    def test_threads_give_the_serial_summaries(self, monkeypatch):
+        # several chunks per audit, so threads share and evict them
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 256)
+        audits = _shuffled_audits(0)
+        serial = [_run_audit(audit) for audit in audits]
+        polygon._chunk.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside chunk fills and spectrum writes
         try:
-            for trial in range(bound):
-                polygon.trial_rng(5, trial)
-            retained = tracemalloc.get_traced_memory()[0]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(_run_audit, audits, timeout=60))
         finally:
-            tracemalloc.stop()
-        assert retained < bound * 512  # about 330 B an entry
-
-    def test_stored_words_are_read_only(self):
-        words = polygon._trial_words(3, 4)
-        assert not words.flags.writeable
-        with pytest.raises(ValueError):
-            words[0] = 0
-
-    def test_trial_generator_cannot_spawn(self):
-        with pytest.raises(TypeError, match="spawn"):
-            polygon.trial_rng(3, 4).spawn(1)
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestChunkDraw:
@@ -467,10 +535,6 @@ class TestChunkDraw:
         monkeypatch.setitem(polygon.SAMPLERS, "gw", lambda *args: draws.append(args) or real(*args))
         psi = ep.sample_state(ep.DimensionProfile((3, 3, 3)), "gw", 4, 7)
         assert draws == [(psi.profile, 4, range(7, 8))]
-
-
-def _parts(*texts):
-    return [None if t is None else ep.Partition.parse(t) for t in texts]
 
 
 class TestAuditPlan:
@@ -543,6 +607,7 @@ class TestAuditPlan:
             ([None], [ep.GEM], [0.5, 1.5], {}),
             ([None], [ep.GEM], [0.5], {"sampler": "nope"}),
             ([None], [ep.GEM], [0.5], {"trials": 0}),
+            ([None], [ep.GEM, "gem"], [0.5], {}),
         ],
     )
     def test_bad_input_rejected_before_any_draw(self, monkeypatch, partitions, measures, alphas, extra):
@@ -587,6 +652,12 @@ class TestEpiReport:
         psi = ep.named_state("example3")
         report = ep.epi_report(psi, ep.Partition.parse("1|2,3|4"), ep.NEGATIVITY, 1.0)
         assert report.holds is True
+
+    def test_measure_must_be_a_measure_kind(self):
+        # a measure name raised a bare AttributeError from deep in the kernel
+        psi = ep.named_state("example3")
+        with pytest.raises(ep.InputError, match="measure must be a MeasureKind, got 'negativity'"):
+            ep.epi_report(psi, ep.Partition.parse("1|2,3|4"), "negativity", 1.0)
 
 
 @pytest.mark.parametrize("threshold, holds", [(2.0, True), (1.999, False)])

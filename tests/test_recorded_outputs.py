@@ -15,7 +15,7 @@ from helpers import load_perfbench
 workloads = load_perfbench("workloads")
 
 TRIALS = 3  # the recorded T = 3 sweep, one audit_random per target
-LOAD_TRIALS = 200  # the benchmark's own load, one audit_plan per profile
+LOAD_TRIALS = 200  # the benchmark's own load
 
 
 def _recorded_audits(trials, master):
@@ -49,6 +49,26 @@ def test_audit_load_matches_recorded(master):
             got[key] = workloads.format_audit(summary)
     assert len(got) == len(refs) == 312
     assert [key for key in refs if got.get(key) != refs[key]] == []
+
+
+def test_audit_random_load_matches_recorded_across_a_seed_change():
+    # the benchmark's own path: one audit_random per target at T = 200, in its
+    # shuffled order, for two master seeds back to back, so memoized chunks are
+    # served warm and then evicted when the seed changes
+    sweep = workloads.AuditSweep(1)
+    assert sweep.trials == LOAD_TRIALS
+    for cycle in (0, 1):
+        master, audits = sweep.build(cycle)
+        refs = _recorded_audits(LOAD_TRIALS, master)
+        mismatched = [
+            key
+            for key, profile, part, kind, alpha in audits
+            if workloads.format_audit(polygon.audit_random(profile, part, kind, alpha, LOAD_TRIALS, master))
+            != refs[key]
+        ]
+        assert len(audits) == 312 and mismatched == []
+    info = polygon._chunk.cache_info()
+    assert (info.misses, info.hits) == (8, 2 * 312 - 8)  # one 200-trial chunk per profile and seed
 
 
 def test_cli_stdout_matches_recorded():
