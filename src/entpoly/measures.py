@@ -54,8 +54,8 @@ SPECTRUM_MEASURES = {
 
 
 def _order(q) -> float:
-    """The q-concurrence order: a finite real q >= 1."""
-    return _real(q, "q", 1.0, np.inf, hi_open=True)
+    """The q-concurrence order: a finite real q > 1 (at q = 1, 1 - Tr rho is 0 on every state)."""
+    return _real(q, "q", 1.0, np.inf, lo_open=True, hi_open=True)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ case, and an audit draws its (seed, trial) states a chunk of rows at a time,
 so any trial replays bit-exactly alone.  `audit_plan` draws each trial once
 and shares its spectra across every partition, measure and alpha it audits;
 `audit_random` is its single-target case.  The AUDIT_CHUNK_CACHE chunks used
-last keep their rows and spectra for the next audit of the same chunk (`_chunk`).
+last keep their rows, their block spectra and one value column per (block,
+measure name) for the next audit of the same chunk (`_chunk`); residuals and
+tallies are computed on every audit, each trial's minimum residual as
+S - 2 max_j v_j^alpha (`_trial_mins`).
 """
 
 from __future__ import annotations
@@ -73,21 +76,21 @@ class EpiReport:
     holds: bool
 
 
-def _block_spectra(profile: DimensionProfile, amplitudes, partitions, spectra: dict) -> dict:
-    """Fill `spectra`, block -> read-only (T, d_block) spectra of a (T, D) stack of kets, and return it.
+def _block_spectra(profile: DimensionProfile, amplitudes, partitions, memo: dict) -> dict:
+    """Fill `memo` with block -> read-only (T, d_block) spectra of a (T, D) stack of kets, and return it.
 
-    One stacked SVD per block not yet in `spectra`.  The partitions must
+    One stacked SVD per block not yet in `memo`.  The partitions must
     already cover the profile (`Partition.validate_for`).
     """
     for partition in partitions:
         for block in partition.blocks:
-            if block not in spectra:
+            if block not in memo:
                 lam = reduced_spectra(profile, amplitudes, block)
                 # read-only before it is shared; two threads that fill the same
                 # block store equal arrays, so this check-then-set needs no lock
                 lam.flags.writeable = False
-                spectra[block] = lam
-    return spectra
+                memo[block] = lam
+    return memo
 
 
 def _check_measure(measure) -> None:
@@ -96,9 +99,25 @@ def _check_measure(measure) -> None:
         raise InputError(f"measure must be a MeasureKind, got {measure!r}")
 
 
-def _block_values(spectra: dict, partition: Partition, measure: MeasureKind) -> np.ndarray:
-    """(T, k) one-to-rest values in block order, from `_block_spectra`."""
-    return np.stack([measure.of_spectra(spectra[block]) for block in partition.blocks], axis=-1)
+def _block_values(memo: dict, partition: Partition, measure: MeasureKind) -> np.ndarray:
+    """(T, k) one-to-rest values in block order, from the spectra `_block_spectra` put in `memo`.
+
+    Each block's read-only (T,) column is kept in `memo` under (block, measure
+    name) with the MeasureKind it was computed for, so a qconcurrence of another
+    q replaces the column: a block holds at most one column per measure name.
+    """
+    columns = []
+    for block in partition.blocks:
+        key = (block, measure.name)
+        entry = memo.get(key)
+        if entry is None or entry[0] != measure:
+            column = measure.of_spectra(memo[block])
+            # read-only before it is shared; two threads that fill the same slot
+            # for one measure store equal arrays, and each uses its own
+            column.flags.writeable = False
+            entry = memo[key] = (measure, column)
+        columns.append(entry[1])
+    return np.stack(columns, axis=-1)
 
 
 def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> np.ndarray:
@@ -120,8 +139,28 @@ def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.n
         powered = _powered(values, alpha)
         residuals = powered.sum(axis=-1, keepdims=True) - 2.0 * powered
     if not np.isfinite(residuals).all():  # an inf power makes its row's residuals inf or NaN
-        raise InputError(f"alpha = {alpha!r} overflows the powered measure values: no finite residuals")
+        raise _overflow_error(alpha)
     return residuals
+
+
+def _overflow_error(alpha: float) -> InputError:
+    return InputError(f"alpha = {alpha!r} overflows the powered measure values: no finite residuals")
+
+
+def _trial_mins(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Each row's minimum residual of a (T, k) stack: S - 2 max_j v_j^alpha, with S the row sum of the powers.
+
+    Unchecked: the caller passes finite, non-negative values with k >= 2 and a
+    checked alpha.  Rounding is monotone, so min_j fl(S - 2 p_j) = fl(S - 2 max_j p_j)
+    and this equals `epi_residuals(values, alpha).min(axis=-1)` bit for bit; it
+    is finite exactly when every residual is, and raises the same error if not.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = _powered(values, alpha)
+        mins = powered.sum(axis=-1) - 2.0 * functools.reduce(np.maximum, powered.T)
+    if not np.isfinite(mins).all():
+        raise _overflow_error(alpha)
+    return mins
 
 
 def epi_report(
@@ -268,11 +307,14 @@ SAMPLERS = {
 
 @functools.lru_cache(maxsize=AUDIT_CHUNK_CACHE)
 def _chunk(draw, state_profile: DimensionProfile, seed: int, start: int, stop: int) -> tuple[np.ndarray, dict]:
-    """The read-only rows `draw` gives trials start..stop-1, and the block -> spectra dict `_block_spectra` fills.
+    """The read-only rows `draw` gives trials start..stop-1, and the memo dict of their block quantities.
 
-    Keyed by the sampler function itself, so a replaced SAMPLERS entry never
-    gets another sampler's rows.  Only draws and spectra are kept: every
-    value, residual and tally is computed again on each audit.
+    The dict maps block -> (T, d_block) spectra, filled by `_block_spectra`, and
+    (block, measure name) -> (MeasureKind, (T,) values), filled by `_block_values`;
+    every array is read-only.  With at most 4 measure names and d_block >= 2, the
+    values never take more than twice the memory of the spectra.  Keyed by the
+    sampler function itself, so a replaced SAMPLERS entry never gets another
+    sampler's rows.  Residuals and tallies are computed again on each audit.
     """
     amplitudes = draw(state_profile, seed, range(start, stop))
     amplitudes.flags.writeable = False
@@ -318,10 +360,11 @@ def audit_plan(
     """Audit every (partition, measure, alpha) target on the same `trials` sampled states.
 
     Returns one summary per target, in nested product order.  Each trial is
-    drawn once and each distinct block's spectra computed once per chunk, so
-    every summary equals the single-target audit bit for bit.  A `None`
-    partition is the singletons of the sampled state.  The worst trial is the
-    first one with the smallest minimum residual.
+    drawn once, and each distinct block's spectra and its values for each
+    measure are computed once per chunk (`_chunk`), so every summary equals
+    the single-target audit bit for bit.  A `None` partition is the
+    singletons of the sampled state.  The worst trial is the first one with
+    the smallest minimum residual.
     """
     trials, seed = _whole(trials, "trial count", 1), _whole(seed, "seed")
     partitions, measures, alphas = list(partitions), list(measures), list(alphas)
@@ -339,19 +382,21 @@ def audit_plan(
     tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
     for start in range(0, trials, chunk):
-        amplitudes, spectra = _chunk(draw, state_profile, seed, start, min(start + chunk, trials))
-        _block_spectra(state_profile, amplitudes, partitions, spectra)
-        mins = []  # per target, in `targets` order: each trial's minimum residual
+        amplitudes, memo = _chunk(draw, state_profile, seed, start, min(start + chunk, trials))
+        _block_spectra(state_profile, amplitudes, partitions, memo)
+        target_tallies = iter(tallies)  # in `targets` order
         for partition in partitions:
             for measure in measures:
-                values = _block_values(spectra, partition, measure)
+                values = _block_values(memo, partition, measure)
                 for alpha in alphas:
-                    mins.append(epi_residuals(values, alpha, allow_unproven=allow_unproven).min(axis=-1))
-        for tally, trial_mins in zip(tallies, mins):
-            tally[0] += int(np.count_nonzero(trial_mins < -VIOLATION_TOL))
-            worst = int(np.argmin(trial_mins))
-            if trial_mins[worst] < tally[1]:  # strict: an earlier chunk keeps its ties
-                tally[1:] = float(trial_mins[worst]), start + worst
+                    trial_mins = _trial_mins(values, alpha)
+                    tally = next(target_tallies)
+                    worst = int(trial_mins.argmin())
+                    lowest = float(trial_mins[worst])
+                    if lowest < -VIOLATION_TOL:  # otherwise no trial of this chunk violates
+                        tally[0] += int(np.count_nonzero(trial_mins < -VIOLATION_TOL))
+                    if lowest < tally[1]:  # strict: an earlier chunk keeps its ties
+                        tally[1:] = lowest, start + worst
     return [
         AuditSummary(profile, partition, measure, sampler, alpha, trials, seed, *tally)
         for (partition, measure, alpha), tally in zip(targets, tallies)

@@ -68,6 +68,18 @@ class TestMeasureCommand:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("command", [
+        ["measure", "--state", "gallery:bell"],
+        ["epi-check", "--state", "gallery:example2", "--alpha", "1"],
+        ["audit", "--dims", "2,2,2", "--trials", "3"],
+    ])
+    def test_q_one_exits_2(self, runner, command):
+        # q = 1 is the zero measure 1 - Tr rho: it printed values [0, 0] and passed every check
+        res = run(runner, *command, "--measure", "qconcurrence", "--q", "1")
+        assert res.exit_code == 2
+        assert "real q in (1, inf), got 1.0" in res.stderr
+        assert res.stdout == ""
+
     def test_csv_format(self, runner):
         res = run(runner, "measure", "--state", "gallery:example2",
                   "--partition", "1|2,3", "--measure", "negativity", "--format", "csv")

@@ -31,7 +31,7 @@ GALLERY = (
 )
 ALPHAS = (["1", "0.5", "0.01", "0.99", "1.5", "2", "1e308", "1e-308", "5e-324"],
           ["0", "-1", "nan", "inf", "-inf", "x", ""])
-QS = (["2", "1.7", "1", "1e308"], ["0.5", "-1", "nan", "inf", "x"])
+QS = (["2", "1.7", "1e308"], ["1", "0.5", "-1", "nan", "inf", "x"])
 PARTITIONS = (["1|2", "1|2|3", "1,2|3", "1|2,3", "1|2|3|4", "1|2,3|4", "1,2,3|4", " 1 | 2 "],
               ["1|1", "1|", "", "a|b", "0|1", "1|3", "1|2|3|4|5", "99999999999999999999|1"])
 VALUES = (["0.5,0.5", "0.5,4,1", "0.36,0.76,0.56", "1e-320,1", "0,0", "1e308,1e-308,1"],

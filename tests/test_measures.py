@@ -60,6 +60,13 @@ class TestMeasureKind:
             ep.MeasureKind("qconcurrence", 0.5)
         with pytest.raises(ep.InputError):
             ep.MeasureKind("qconcurrence", math.nan)
+        # 1 - Tr rho^1 = 0 on every state, so q = 1 would pass every audit unchecked
+        for one in (1, 1.0, np.float64(1)):
+            with pytest.raises(ep.InputError, match=r"real q in \(1, inf\), got 1\.0"):
+                ep.MeasureKind("qconcurrence", one)
+            with pytest.raises(ep.InputError, match=r"real q in \(1, inf\)"):
+                ep.q_concurrence_kind(one)
+        assert ep.MeasureKind("qconcurrence", np.nextafter(1.0, 2.0)).q > 1.0
         with pytest.raises(ep.InputError):
             ep.MeasureKind("gem", 2.0)
         with pytest.raises(ep.InputError, match="takes no q"):
@@ -265,7 +272,7 @@ class TestConcurrence:
 
 class TestQConcurrence:
     def test_product(self):
-        for q in (1.0, 2.0, 3.5):
+        for q in (1.1, 2.0, 3.5):  # q = 1 is rejected: TestMeasureKind.test_q_validation
             assert ep.measure_value(product_ket((2, 3), 3), (1,), ep.q_concurrence_kind(q)) < 1e-12
 
     def test_bell_q2(self):

@@ -262,8 +262,21 @@ class TestAudit:
         b = ep.audit_random(prof, None, ep.GEM, 0.5, 50, seed=9)
         assert a == b
         report = ep.audit_trial_report(prof, None, ep.GEM, 0.5, 9, a.worst_trial)
-        assert abs(report.min_residual - a.worst_residual) < 1e-15
+        assert report.min_residual == a.worst_residual
         assert a.worst_seed == (9, a.worst_trial)
+
+    @pytest.mark.parametrize("kind, alpha", [(ep.GEM, 0.5), (ep.CONCURRENCE, 1.0), (ep.GEM, 4.0)])
+    def test_nine_blocks_replay_bit_exactly_across_chunks(self, monkeypatch, kind, alpha):
+        # at k = 9 numpy sums each row of powers pairwise, not in sequence
+        prof = ep.DimensionProfile((2,) * 9)
+        monkeypatch.setattr(polygon, "AUDIT_CHUNK_ELEMS", 4 * prof.total_dim)  # 4, 4 and 3 trials
+        summary = ep.audit_random(prof, None, kind, alpha, 11, seed=7, allow_unproven=True)  # worst: 4, 10, 0
+        assert polygon._chunk.cache_info().misses == 3
+        mins = [ep.audit_trial_report(prof, None, kind, alpha, 7, t, allow_unproven=True).min_residual
+                for t in range(11)]
+        assert summary.worst_residual == min(mins)
+        assert summary.worst_trial == mins.index(min(mins))
+        assert summary.violations == sum(m < -ep.VIOLATION_TOL for m in mins)
 
     def test_trial_reports_independent_of_order(self):
         prof = ep.DimensionProfile((2, 2, 2))
@@ -468,13 +481,38 @@ class TestChunkMemo:
         prof = ep.DimensionProfile(dims)
         summary = ep.audit_random(prof, None, ep.GEM, 0.5, 5, seed=4, sampler=sampler)
         state_profile = ep.sample_state(prof, sampler, 4, 0).profile
-        rows, spectra = polygon._chunk(polygon.SAMPLERS[sampler], state_profile, 4, 0, 5)
+        rows, memo = polygon._chunk(polygon.SAMPLERS[sampler], state_profile, 4, 0, 5)
         assert polygon._chunk.cache_info()[:2] == (1, 1)  # the audit's own chunk, not a fresh draw
-        assert sorted(spectra) == sorted(summary.partition.blocks)
-        for array in (rows, *spectra.values()):
+        blocks = summary.partition.blocks
+        # one spectra array per block, and one value column per (block, measure name)
+        assert set(memo) == set(blocks) | {(block, "gem") for block in blocks}
+        columns = []
+        for block in blocks:
+            kind, column = memo[block, "gem"]
+            assert kind == ep.GEM and column.shape == (5,)
+            columns.append(column)
+        for array in (rows, *(memo[block] for block in blocks), *columns):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+                array[(0,) * array.ndim] = 0
+
+    def test_one_qconcurrence_column_per_block_whatever_the_q(self):
+        prof = ep.DimensionProfile((2, 2, 2))
+        kinds = [ep.q_concurrence_kind(q) for q in np.linspace(1.1, 5.0, 20)]
+        parts = [ep.Partition.singletons(3), ep.Partition.parse("1,2|3")]
+        warm = [ep.audit_random(prof, part, kind, 0.75, 6, seed=2) for part in parts for kind in kinds]
+        plan = ep.audit_plan(prof, parts, kinds, [0.75], 6, seed=2)  # every q again, on the shared blocks
+        rows, memo = polygon._chunk(polygon.SAMPLERS["haar"], prof, 2, 0, 6)
+        assert polygon._chunk.cache_info()[:2] == (41, 1)  # one draw for the 41 audits and this lookup
+        blocks = {block for part in parts for block in part.blocks}
+        assert set(memo) == blocks | {(block, "qconcurrence") for block in blocks}
+        assert all(memo[block, "qconcurrence"][0] == kinds[-1] for block in blocks)
+        cleared = []
+        for part in parts:
+            for kind in kinds:
+                polygon._chunk.cache_clear()
+                cleared.append(ep.audit_random(prof, part, kind, 0.75, 6, seed=2))
+        assert warm == cleared == plan
 
     def test_replaced_sampler_is_never_served_real_rows(self, monkeypatch):
         psi = ep.named_state("w(3)")

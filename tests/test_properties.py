@@ -4,11 +4,13 @@ Examples are derandomized and capped, so every run checks the same states.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import entpoly as ep
+from entpoly import polygon
 from helpers import apply_local_unitaries, dense_negativity, haar_unitary, random_unit_vector
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
@@ -114,3 +116,32 @@ def test_sparse_ket_negativity_matches_the_dense_trace_norm(data):
     block = data.draw(proper_blocks(psi.profile.n))
     dense = dense_negativity(psi.amplitudes, psi.profile.dims, [i - 1 for i in block])
     assert abs(ep.negativity(psi, block) - dense) <= 1e-14
+
+
+@st.composite
+def value_stacks(draw):
+    """A (T, k) stack of measure values with zeros, values at or below MEASURE_FLOOR, and ties."""
+    T, k = draw(st.integers(1, 50)), draw(st.integers(2, 12))
+    entry = st.one_of(
+        st.just(0.0), st.just(ep.MEASURE_FLOOR), st.floats(0.0, ep.MEASURE_FLOOR), st.floats(0.0, 4.0),
+    )
+    pool = np.array(draw(st.lists(entry, min_size=1, max_size=6)))  # a short pool makes ties common
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # a seed, not T * k draws, keeps shrinking fast
+    return pool[rng.integers(len(pool), size=(T, k))]
+
+
+@PROPERTY
+@given(value_stacks(), st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0, exclude_min=True)))
+def test_trial_mins_are_the_residual_minima_bit_for_bit(values, alpha):
+    # min_j fl(S - 2 p_j) = fl(S - 2 max_j p_j), with S the same numpy row sum
+    expected = ep.epi_residuals(values, alpha, allow_unproven=True).min(axis=-1)
+    assert polygon._trial_mins(values, alpha).tobytes() == expected.tobytes()
+
+
+def test_trial_mins_overflow_is_the_residual_overflow():
+    values = np.full((3, 4), 4.0)
+    with pytest.raises(ep.InputError, match="overflows") as residuals:
+        ep.epi_residuals(values, 1e308, allow_unproven=True)
+    with pytest.raises(ep.InputError, match="overflows") as mins:
+        polygon._trial_mins(values, 1e308)
+    assert str(mins.value) == str(residuals.value)
