@@ -75,7 +75,8 @@ class MeasureKind:
     @property
     def label(self) -> str:
         if self.name == "qconcurrence":
-            return f"qconcurrence(q={self.q:g})"
+            q = f"{self.q:g}"  # q=2, unless :g rounds q: then q=1.0000001, its repr in full
+            return f"qconcurrence(q={q if float(q) == self.q else repr(self.q)})"
         return self.name
 
     def of_spectra(self, lam: np.ndarray) -> np.ndarray:

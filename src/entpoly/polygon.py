@@ -7,20 +7,20 @@ kets with one stacked SVD per distinct block: a single state is the T = 1
 case, and an audit draws its (seed, trial) states a chunk of rows at a time,
 so any trial replays bit-exactly alone.  `audit_plan` draws each trial once
 and shares its spectra across every partition, measure and alpha it audits;
-`audit_random` is its single-target case.  The AUDIT_CHUNK_CACHE chunks used
-last keep their rows, their block spectra and one value column per (block,
-measure name) for the next audit of the same chunk (`_chunk`); residuals and
-tallies are computed on every audit, each trial's minimum residual as
-S - 2 max_j v_j^alpha (`_trial_mins`).
+`audit_random` is its single-target case.  A chunk's block spectra and one
+value column per (block, measure name) fill on first need, measure-major in a
+plan (`_block_values`), and the AUDIT_CHUNK_CACHE chunks used last keep them
+for the next audit of the same chunk (`_chunk`).  Residuals and tallies are
+computed on every audit, each trial's minimum residual as S - 2 max_j v_j^alpha
+(`_trial_mins`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,55 +76,47 @@ class EpiReport:
     holds: bool
 
 
-def _block_spectra(profile: DimensionProfile, amplitudes, partitions, memo: dict) -> dict:
-    """Fill `memo` with block -> read-only (T, d_block) spectra of a (T, D) stack of kets, and return it.
-
-    One stacked SVD per block not yet in `memo`.  The partitions must
-    already cover the profile (`Partition.validate_for`).
-    """
-    for partition in partitions:
-        for block in partition.blocks:
-            if block not in memo:
-                lam = reduced_spectra(profile, amplitudes, block)
-                # read-only before it is shared; two threads that fill the same
-                # block store equal arrays, so this check-then-set needs no lock
-                lam.flags.writeable = False
-                memo[block] = lam
-    return memo
-
-
 def _check_measure(measure) -> None:
     """A measure is a MeasureKind, not its name."""
     if not isinstance(measure, MeasureKind):
         raise InputError(f"measure must be a MeasureKind, got {measure!r}")
 
 
-def _block_values(memo: dict, partition: Partition, measure: MeasureKind) -> np.ndarray:
-    """(T, k) one-to-rest values in block order, from the spectra `_block_spectra` put in `memo`.
+def _block_values(
+    profile: DimensionProfile, amplitudes, memo: dict, partition: Partition, measure: MeasureKind
+) -> np.ndarray:
+    """(T, k) one-to-rest values in block order of a (T, D) stack of kets, filling `memo` on first need.
 
-    Each block's read-only (T,) column is kept in `memo` under (block, measure
-    name) with the MeasureKind it was computed for, so a qconcurrence of another
-    q replaces the column: a block holds at most one column per measure name.
+    `memo` keeps each block's (T, d_block) spectra from one stacked SVD, and
+    its (T,) column under (block, measure name) with the MeasureKind it was
+    computed for, so a qconcurrence of another q replaces the column.  Each
+    array is read-only before it is stored; two threads that fill the same
+    slot for one measure store equal arrays, and each uses the column it
+    computed, so this check-then-set needs no lock.  The partition must
+    already cover the profile (`Partition.validate_for`).
     """
     columns = []
     for block in partition.blocks:
         key = (block, measure.name)
         entry = memo.get(key)
         if entry is None or entry[0] != measure:
-            column = measure.of_spectra(memo[block])
-            # read-only before it is shared; two threads that fill the same slot
-            # for one measure store equal arrays, and each uses its own
+            lam = memo.get(block)
+            if lam is None:
+                lam = reduced_spectra(profile, amplitudes, block)
+                lam.flags.writeable = False
+                memo[block] = lam
+            column = measure.of_spectra(lam)
             column.flags.writeable = False
             entry = memo[key] = (measure, column)
         columns.append(entry[1])
-    return np.stack(columns, axis=-1)
+    return np.column_stack(columns)
 
 
 def one_to_rest_values(psi: Ket, partition: Partition, measure: MeasureKind) -> np.ndarray:
     """Measure each block against its complement, in block order."""
     partition.validate_for(psi.profile.n)
     _check_measure(measure)
-    return _block_values(_block_spectra(psi.profile, psi.amplitudes, [partition], {}), partition, measure)[0]
+    return _block_values(psi.profile, psi.amplitudes, {}, partition, measure)[0]
 
 
 def epi_residuals(values, alpha: float, *, allow_unproven: bool = False) -> np.ndarray:
@@ -261,19 +253,21 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _state_profile(profile: DimensionProfile, sampler: str) -> DimensionProfile:
-    """The profile of the states `sampler` draws for an audit of `profile`, checked before any draw.
+def _sampler(profile: DimensionProfile, sampler: str) -> tuple[Callable, DimensionProfile]:
+    """The `SAMPLERS` function named `sampler` and the profile of the states it draws for an audit of `profile`.
 
-    The purification's purifier is a third party, so [da, db] samples [da, db, da*db].
+    Both are checked before any draw.  The purification's purifier is a third
+    party, so [da, db] samples [da, db, da*db].
     """
+    draw = _choice(SAMPLERS, sampler, "sampler")
     dims = profile.dims
     if sampler == "purification":
         if not (len(dims) == 2 or (len(dims) == 3 and dims[2] == dims[0] * dims[1])):
             raise InputError(f"purification sampler needs dims [da, db] or [da, db, da*db], got {dims}")
-        return DimensionProfile((dims[0], dims[1], dims[0] * dims[1]))
+        return draw, DimensionProfile((dims[0], dims[1], dims[0] * dims[1]))
     if sampler == "gw" and len(set(dims)) != 1:
         raise InputError(f"gw sampler needs equal local dimensions, got {dims}")
-    return profile
+    return draw, profile
 
 
 def _purification(profile: DimensionProfile, rng: np.random.Generator) -> Ket:
@@ -297,7 +291,7 @@ def _ket_rows(draw):
 
 # name -> (profile, seed, trials: range) -> (T, D) unit amplitudes, row t drawn
 # from trial_rng(seed, trials[t]) alone; `profile` is the sampled state's
-# (`_state_profile`).  Haar rows go straight into one chunk buffer.
+# (`_sampler`).  Haar rows go straight into one chunk buffer.
 SAMPLERS = {
     "haar": lambda profile, seed, trials: _haar_rows(profile.total_dim, [trial_rng(seed, t) for t in trials]),
     "purification": _ket_rows(_purification),
@@ -309,8 +303,8 @@ SAMPLERS = {
 def _chunk(draw, state_profile: DimensionProfile, seed: int, start: int, stop: int) -> tuple[np.ndarray, dict]:
     """The read-only rows `draw` gives trials start..stop-1, and the memo dict of their block quantities.
 
-    The dict maps block -> (T, d_block) spectra, filled by `_block_spectra`, and
-    (block, measure name) -> (MeasureKind, (T,) values), filled by `_block_values`;
+    The dict maps block -> (T, d_block) spectra and (block, measure name) ->
+    (MeasureKind, (T,) values), both filled on first need by `_block_values`;
     every array is read-only.  With at most 4 measure names and d_block >= 2, the
     values never take more than twice the memory of the spectra.  Keyed by the
     sampler function itself, so a replaced SAMPLERS entry never gets another
@@ -323,8 +317,7 @@ def _chunk(draw, state_profile: DimensionProfile, seed: int, start: int, stop: i
 
 def sample_state(profile: DimensionProfile, sampler: str, seed: int, trial: int) -> Ket:
     """Draw the trial state for an audit; deterministic in (seed, trial): the one-row audit draw."""
-    draw = _choice(SAMPLERS, sampler, "sampler")
-    state_profile = _state_profile(profile, sampler)
+    draw, state_profile = _sampler(profile, sampler)
     seed, trial = _whole(seed, "seed"), _whole(trial, "trial")
     return Ket(state_profile, draw(state_profile, seed, range(trial, trial + 1))[0])
 
@@ -340,9 +333,13 @@ def audit_trial_report(
     sampler: str = "haar",
     allow_unproven: bool = False,
 ) -> EpiReport:
-    """Replay a single audit trial from its derived seed."""
+    """Replay a single audit trial from its derived seed; like `audit_plan`, check every input before the draw."""
+    _check_alpha(alpha, allow_unproven)
+    _check_measure(measure)
+    n = _sampler(profile, sampler)[1].n
+    partition = Partition.singletons(n) if partition is None else partition
+    partition.validate_for(n)
     psi = sample_state(profile, sampler, seed, trial)
-    partition = Partition.singletons(psi.profile.n) if partition is None else partition
     return epi_report(psi, partition, measure, alpha, allow_unproven=allow_unproven)
 
 
@@ -360,11 +357,12 @@ def audit_plan(
     """Audit every (partition, measure, alpha) target on the same `trials` sampled states.
 
     Returns one summary per target, in nested product order.  Each trial is
-    drawn once, and each distinct block's spectra and its values for each
-    measure are computed once per chunk (`_chunk`), so every summary equals
-    the single-target audit bit for bit.  A `None` partition is the
-    singletons of the sampled state.  The worst trial is the first one with
-    the smallest minimum residual.
+    drawn once, and each chunk is visited measure by measure, so each distinct
+    block's spectra and its values for each measure are computed once per
+    chunk (`_chunk`, `_block_values`).  A target's tally does not depend on
+    the visit order, so every summary equals the single-target audit bit for
+    bit.  A `None` partition is the singletons of the sampled state.  The
+    worst trial is the first one with the smallest minimum residual.
     """
     trials, seed = _whole(trials, "trial count", 1), _whole(seed, "seed")
     partitions, measures, alphas = list(partitions), list(measures), list(alphas)
@@ -373,33 +371,32 @@ def audit_plan(
     alphas = [_check_alpha(alpha, allow_unproven) for alpha in alphas]
     for measure in measures:
         _check_measure(measure)
-    draw = _choice(SAMPLERS, sampler, "sampler")
-    state_profile = _state_profile(profile, sampler)
+    draw, state_profile = _sampler(profile, sampler)
     partitions = [Partition.singletons(state_profile.n) if p is None else p for p in partitions]
     for partition in partitions:
         partition.validate_for(state_profile.n)
-    targets = list(itertools.product(partitions, measures, alphas))
-    tallies = [[0, math.inf, 0] for _ in targets]  # AuditSummary's violations, worst_residual, worst_trial
+    # measure-major, so that a qconcurrence column is replaced once per chunk, not once per partition
+    visits = [  # per alpha, a tally of AuditSummary's violations, worst_residual and worst_trial
+        (partition, measure, [[0, math.inf, 0] for _ in alphas]) for measure in measures for partition in partitions
+    ]
     chunk = max(1, AUDIT_CHUNK_ELEMS // state_profile.total_dim)
     for start in range(0, trials, chunk):
         amplitudes, memo = _chunk(draw, state_profile, seed, start, min(start + chunk, trials))
-        _block_spectra(state_profile, amplitudes, partitions, memo)
-        target_tallies = iter(tallies)  # in `targets` order
-        for partition in partitions:
-            for measure in measures:
-                values = _block_values(memo, partition, measure)
-                for alpha in alphas:
-                    trial_mins = _trial_mins(values, alpha)
-                    tally = next(target_tallies)
-                    worst = int(trial_mins.argmin())
-                    lowest = float(trial_mins[worst])
-                    if lowest < -VIOLATION_TOL:  # otherwise no trial of this chunk violates
-                        tally[0] += int(np.count_nonzero(trial_mins < -VIOLATION_TOL))
-                    if lowest < tally[1]:  # strict: an earlier chunk keeps its ties
-                        tally[1:] = lowest, start + worst
-    return [
+        for partition, measure, tallies in visits:
+            values = _block_values(state_profile, amplitudes, memo, partition, measure)
+            for alpha, tally in zip(alphas, tallies):
+                trial_mins = _trial_mins(values, alpha)
+                worst = int(trial_mins.argmin())
+                lowest = float(trial_mins[worst])
+                if lowest < -VIOLATION_TOL:  # otherwise no trial of this chunk violates
+                    tally[0] += int(np.count_nonzero(trial_mins < -VIOLATION_TOL))
+                if lowest < tally[1]:  # strict: an earlier chunk keeps its ties
+                    tally[1:] = lowest, start + worst
+    return [  # nested product order: partition p's visits are every len(partitions)-th, one per measure
         AuditSummary(profile, partition, measure, sampler, alpha, trials, seed, *tally)
-        for (partition, measure, alpha), tally in zip(targets, tallies)
+        for p in range(len(partitions))
+        for partition, measure, tallies in visits[p::len(partitions)]
+        for alpha, tally in zip(alphas, tallies)
     ]
 
 

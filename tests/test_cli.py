@@ -80,6 +80,14 @@ class TestMeasureCommand:
         assert "real q in (1, inf), got 1.0" in res.stderr
         assert res.stdout == ""
 
+    def test_qconcurrence_label_prints_q_in_full(self, runner):
+        # printed "qconcurrence(q=1)", the label of an order that exits 2
+        res = run(runner, "measure", "--state", "gallery:bell", "--measure", "qconcurrence", "--q", "1.0000001")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["measure"] == "qconcurrence(q=1.0000001)"
+        res = run(runner, "measure", "--state", "gallery:bell", "--measure", "qconcurrence", "--q", "2")
+        assert json.loads(res.output)["measure"] == "qconcurrence(q=2)"
+
     def test_csv_format(self, runner):
         res = run(runner, "measure", "--state", "gallery:example2",
                   "--partition", "1|2,3", "--measure", "negativity", "--format", "csv")

@@ -74,6 +74,16 @@ class TestMeasureKind:
         with pytest.raises(ep.InputError):
             ep.MeasureKind("entropy")
 
+    def test_label_names_q_in_full(self):
+        # ":g" printed q = 1.0000001 as "q=1", and any two q agreeing to 6 digits shared a label
+        labels = [ep.q_concurrence_kind(q).label for q in (2, 3.0, 1.5, 1.0000001, 1.0000002, 1.23456789)]
+        assert labels == [
+            "qconcurrence(q=2)", "qconcurrence(q=3)", "qconcurrence(q=1.5)", "qconcurrence(q=1.0000001)",
+            "qconcurrence(q=1.0000002)", "qconcurrence(q=1.23456789)",
+        ]
+        assert ep.MeasureKind("qconcurrence").label == "qconcurrence(q=2)"
+        assert ep.GEM.label == "gem"
+
     @pytest.mark.parametrize("bad", [["gem"], {"gem": 1}, None, 3])
     def test_name_that_is_not_a_string_rejected(self, bad):
         with pytest.raises(ep.InputError, match="unknown measure"):

@@ -347,6 +347,20 @@ class TestAudit:
             ep.audit_random(prof, None, ep.NEGATIVITY, 1.0, 5, seed=1, sampler=sampler)
         assert draws == []
 
+    @pytest.mark.parametrize("partition, measure, alpha", [
+        (None, ep.GEM, float("nan")),
+        (None, ep.GEM, 1.5),
+        (None, "gem", 0.5),
+        (ep.Partition.parse("1|2"), ep.GEM, 0.5),
+    ], ids=["nan-alpha", "unproven-alpha", "measure-name", "uncovering-partition"])
+    def test_replay_checks_its_inputs_before_the_draw(self, monkeypatch, partition, measure, alpha):
+        # a replay drew and decomposed the state before it rejected an input
+        draws = []
+        monkeypatch.setitem(polygon.SAMPLERS, "haar", lambda *args: draws.append(args))
+        with pytest.raises(ep.InputError):
+            ep.audit_trial_report(ep.DimensionProfile((2, 2, 2)), partition, measure, alpha, 1, 0)
+        assert draws == []
+
     @pytest.mark.parametrize("sampler, dims, text, covered, expected", [
         ("haar", (2, 2), "1|2|3", 3, 2),
         ("purification", (3, 3), "1|2", 2, 3),  # the purifier is a third party
@@ -601,6 +615,23 @@ class TestAuditPlan:
         for summary, (part, kind, alpha) in zip(plan, targets):
             single = ep.audit_random(prof, part, kind, alpha, trials, 23, sampler=sampler, allow_unproven=True)
             assert summary == single
+
+    def test_one_value_column_per_block_and_measure(self, monkeypatch):
+        # partition-major, q = 2 and q = 3 swapped their shared (block, "qconcurrence") slot once per partition
+        calls = []
+        real = ep.MeasureKind.of_spectra
+        monkeypatch.setattr(
+            ep.MeasureKind, "of_spectra", lambda kind, lam: calls.append((kind, id(lam))) or real(kind, lam)
+        )
+        prof = ep.DimensionProfile((2, 2, 2, 2))
+        parts = list(ep.iter_partitions(prof.n, 2, 4))
+        kinds = [ep.CONCURRENCE, ep.q_concurrence_kind(2), ep.q_concurrence_kind(3)]
+        plan = ep.audit_plan(prof, parts, kinds, [0.5, 1.0], 50, seed=5)  # one chunk
+        blocks = {block for part in parts for block in part.blocks}
+        assert len(calls) == len(set(calls)) == len(kinds) * len(blocks)
+        for summary, (part, kind, alpha) in zip(plan, itertools.product(parts, kinds, [0.5, 1.0])):
+            polygon._chunk.cache_clear()
+            assert summary == ep.audit_random(prof, part, kind, alpha, 50, seed=5)
 
     def test_tie_across_a_chunk_boundary_keeps_the_earliest_trial(self, monkeypatch):
         # w(3) is the worse state for both measures; trials 2 | 3 tie across the chunk boundary
